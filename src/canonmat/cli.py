@@ -38,7 +38,18 @@ def _read_matrix(path: str):
             data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    return parse_matrix(data.decode()), hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_matrix(text), hashlib.sha256(data).hexdigest()
+
+
+def _shape(n: int, m: int, p: int) -> list[int]:
+    """The manifest shape of a command's n m p arguments, once checked."""
+    if n < 1 or m < 1 or p < 2:
+        raise ParseError(f"invalid shape/base n={n} m={m} p={p}")
+    return [n, m, p]
 
 
 def _parse_filter(spec: str | None):
@@ -52,6 +63,8 @@ def _parse_filter(spec: str | None):
             k = int(spec.split(":", 1)[1])
         except ValueError:
             raise ParseError(f"bad filter spec {spec!r}") from None
+        if k < 1:
+            raise ParseError(f"bad filter spec {spec!r}: K must be at least 1")
 
         def row_filter(row, _k=k):
             return sum(1 for e in row if e != 0) == _k
@@ -75,20 +88,24 @@ def _enumerate_stream(n, m, p, filter_spec, budget, workers, out):
     """Stream canonical matrices, partitioned by first row.
 
     Partitions are consumed in first-row order, so the byte stream is
-    identical for any worker count; the node budget is charged cumulatively
-    at partition boundaries (and each partition is individually capped).
+    identical for any worker count, and each is written as soon as it and
+    every earlier one are done.  The node budget is charged cumulatively at
+    partition boundaries (and each partition is individually capped).
     """
     _, row_filter, header = _parse_filter(filter_spec)
     firsts = [f for f in structured_first_rows(m, p)
               if row_filter is None or row_filter(f)]
     jobs = [(n, m, p, f, filter_spec, budget) for f in firsts]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_partition_worker, jobs))
-    else:
-        results = [_partition_worker(job) for job in jobs]
     if header:
         out.write(header + "\n")
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return _write_partitions(pool.map(_partition_worker, jobs), budget, out)
+    return _write_partitions(map(_partition_worker, jobs), budget, out)
+
+
+def _write_partitions(results, budget, out):
+    """Write partition results in order as they arrive; (count, nodes)."""
     count = 0
     nodes = 0
     for texts, part_nodes in results:
@@ -175,7 +192,8 @@ def _run(args, out) -> tuple[str, dict]:
     if args.command == "canonize":
         a, digest = _read_matrix(args.file)
         meta.update(shape=[a.n, a.m, a.p], input_digest=digest)
-        result = pruned_canonical_form(a)
+        result = pruned_canonical_form(a, budget=args.budget)
+        meta["nodes"] = result.nodes
         if apply(a, result.witness) != result.canonical:
             raise IntegrityError("witness does not reproduce the canonical form", 0, 0)
         out.write(format_matrix(result.canonical))
@@ -185,7 +203,10 @@ def _run(args, out) -> tuple[str, dict]:
         return "canonized", meta
 
     if args.command == "enumerate":
-        meta.update(shape=[args.n, args.m, args.p])
+        meta.update(shape=_shape(args.n, args.m, args.p))
+        if args.filter and (args.n != args.m or args.p != 3):
+            raise ParseError(f"--filter needs an n x n shape over p=3, "
+                             f"got {args.n}x{args.m} p={args.p}")
         if args.count_only:
             if args.filter:
                 predicate, row_filter, _ = _parse_filter(args.filter)
@@ -210,7 +231,7 @@ def _run(args, out) -> tuple[str, dict]:
         return f"count={count}", meta
 
     if args.command == "count":
-        meta.update(shape=[args.n, args.m, args.p])
+        meta.update(shape=_shape(args.n, args.m, args.p))
         try:
             result = census(args.n, args.m, args.p, budget=args.budget)
         except IntegrityError as exc:
@@ -221,7 +242,7 @@ def _run(args, out) -> tuple[str, dict]:
         return f"count={result.count}", meta
 
     if args.command == "classify-hadamard":
-        meta.update(shape=[args.n, args.n, 3])
+        meta.update(shape=_shape(args.n, args.n, 3))
         out.write("# predicate=hadamard\n")
         result = hm.classify_hadamard(args.n, budget=args.budget)
         for k, rep in enumerate(result.representatives):
@@ -232,7 +253,9 @@ def _run(args, out) -> tuple[str, dict]:
         return f"count={result.count}", meta
 
     if args.command == "classify-weighing":
-        meta.update(shape=[args.n, args.n, 3])
+        meta.update(shape=_shape(args.n, args.n, 3))
+        if not 1 <= args.k <= args.n:
+            raise ParseError(f"weight k={args.k} outside [1, {args.n}]")
         out.write(f"# predicate=weighing k={args.k}\n")
         result = hm.classify_weighing(args.n, args.k, budget=args.budget)
         for k, rep in enumerate(result.representatives):

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .equivalence import PermPair, Permutation, apply, pruned_canonical_form
+from .equivalence import pruned_canonical_form
 from .errors import BudgetExceededError, IntegrityError
 from .matrices import Matrix
 
@@ -177,14 +177,5 @@ def census(n: int, m: int, p: int, stream: bool = False,
 
 
 def orbit_size(a: Matrix) -> int:
-    """|class of a| = n! * m! / |stabilizer|, by exhaustive permutation search.
-
-    Desk-scale only (n! * m! pairs are tried).
-    """
-    stab = 0
-    for rho in itertools.permutations(range(a.n)):
-        for sigma in itertools.permutations(range(a.m)):
-            pp = PermPair(Permutation(rho), Permutation(sigma))
-            if apply(a, pp) == a:
-                stab += 1
-    return math.factorial(a.n) * math.factorial(a.m) // stab
+    """|class of a| = n! * m! / |Aut(a)|, with |Aut| from the canonical search."""
+    return math.factorial(a.n) * math.factorial(a.m) // pruned_canonical_form(a).aut_order

@@ -1,16 +1,30 @@
-"""Row/column permutation actions and the canonical-form search.
+"""Row/column permutation actions and the canonical-form engine.
 
 Two matrices are equivalent when one arises from the other by permuting
 rows and columns.  The canonical representative of a class is the member
-whose row code is lexicographically minimal.  For a fixed column order the
-optimal row order is simply ascending row sort, so the search space is the
-m! column orders; a branch-and-bound variant prunes column prefixes whose
-best completion already loses to the incumbent.
+whose row code is lexicographically minimal.
+
+`pruned_canonical_form` is the one engine behind canonize, the
+enumerator's leaf test and `equivalent`.  It builds the minimum row by row.
+The placed rows split the columns into ordered cells; the next canonical
+row is the least, over the unplaced rows, of the row's digits sorted within
+each cell, and placing it splits every cell by digit value.  The search
+branches only on rows whose keys tie, places rows of identical content
+once, cuts prefixes that already compare greater than the incumbent, and
+skips tied rows that an automorphism found so far maps onto an explored
+sibling; two equal leaves give such an automorphism (after McKay and
+Piperno, *Practical graph isomorphism II*, J. Symb. Comput. 2014).  The
+orbit sizes along the first path give |Aut| as a by-product.
+
+`canonical_form` tries all m! column orders, taking ascending row sort as
+the optimal row order for each; it is the exhaustive test oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
@@ -71,8 +85,16 @@ class PermPair:
 
 @dataclass(frozen=True)
 class CanonResult:
+    """The class minimum and a witness pair taking the input to it.
+
+    `aut_order` is |Aut|, the number of pairs that fix the input, and
+    `nodes` the search nodes spent; the exhaustive oracle leaves them unset.
+    """
+
     canonical: Matrix
     witness: PermPair
+    aut_order: int | None = None
+    nodes: int = 0
 
 
 def apply(a: Matrix, pp: PermPair) -> Matrix:
@@ -107,9 +129,9 @@ def _witness(order, sigma) -> PermPair:
 def canonical_form(a: Matrix, max_cols: int = EXHAUSTIVE_COLS_GUARD) -> CanonResult:
     """Exhaustive minimum of the row code over the equivalence class.
 
-    Loops over all m! column orders; for each, ascending row sort is the
-    optimal row order.  Guarded by `max_cols`; beyond it use
-    pruned_canonical_form.
+    The test oracle for pruned_canonical_form.  Loops over all m! column
+    orders; for each, ascending row sort is the optimal row order.  Guarded
+    by `max_cols`.
     """
     if a.m > max_cols:
         raise BudgetExceededError(
@@ -132,47 +154,188 @@ def canonical_form(a: Matrix, max_cols: int = EXHAUSTIVE_COLS_GUARD) -> CanonRes
     return CanonResult(canonical=canonical, witness=_witness(best_order, best_sigma))
 
 
-def pruned_canonical_form(a: Matrix) -> CanonResult:
-    """Branch-and-bound over column orders; same contract as canonical_form.
+def pruned_canonical_form(a: Matrix, budget: int | None = None) -> CanonResult:
+    """Class minimum with witness and |Aut| by row-choice partition search.
 
-    A partial column order is cut via a lower bound: sort the prefix rows
-    and pad the unchosen digit positions with zeros.  Any completion sorts
-    its full rows, whose prefix sequence is >= the sorted prefix, and its
-    unknown digits are >= the zero padding, so the padded matrix is a lower
-    bound for the whole subtree; if it already beats the incumbent the
-    branch is dead.
+    Same canonical form and witness contract as canonical_form, for any
+    width.  Each search node is charged against `budget`; running out
+    raises BudgetExceededError carrying the node count.
     """
-    rows = a.rows
-    n, m = a.n, a.m
-    identity_order = sorted(range(n), key=rows.__getitem__)
-    state = {
-        "rows": tuple(rows[i] for i in identity_order),
-        "order": identity_order,
-        "sigma": tuple(range(m)),
-    }
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, row in enumerate(a.rows):
+        groups.setdefault(row, []).append(i)
+    sources = list(groups.values())
+    search = _RowSearch(list(groups), [len(s) for s in sources], a.p, budget)
+    search.node((), [], (0,) * a.m, tuple(range(len(sources))), 0, True)
+    canon, ids, colors = search.best
+    order = [i for u in ids for i in sources[u]]
+    sigma = sorted(range(a.m), key=colors.__getitem__)
+    # The columns of a final cell are identical, as are the rows of a group.
+    aut = search.orbit_product
+    for size in [len(s) for s in sources] + list(Counter(colors).values()):
+        aut *= math.factorial(size)
+    return CanonResult(canonical=Matrix(n=a.n, m=a.m, p=a.p, rows=canon),
+                       witness=_witness(order, sigma),
+                       aut_order=aut, nodes=search.nodes)
 
-    def dfs(sigma: tuple[int, ...], remaining: tuple[int, ...]):
-        k = len(sigma)
-        pad = (0,) * (m - k)
-        bound = tuple(t + pad for t in sorted(tuple(row[j] for j in sigma) for row in rows))
-        if bound > state["rows"]:
-            return
-        if not remaining:
-            permuted = [tuple(row[j] for j in sigma) for row in rows]
-            order = sorted(range(n), key=permuted.__getitem__)
-            cand = tuple(permuted[i] for i in order)
-            if cand < state["rows"]:
-                state["rows"] = cand
-                state["order"] = order
-                state["sigma"] = sigma
-            return
-        for idx, j in enumerate(remaining):
-            dfs(sigma + (j,), remaining[:idx] + remaining[idx + 1:])
 
-    dfs((), tuple(range(m)))
-    canonical = Matrix(n=a.n, m=a.m, p=a.p, rows=state["rows"])
-    return CanonResult(canonical=canonical,
-                       witness=_witness(state["order"], state["sigma"]))
+class _RowSearch:
+    """Depth-first search over the order in which distinct rows are placed.
+
+    A node is the sequence of distinct rows placed so far together with the
+    ordered column cells they induce.  Column j lies in the cell of rank
+    colors[j] // p, so sorting a row's values colors[j] + row[j] sorts its
+    digits within each cell, cells in order: that is the row's key.  The
+    children of a node are the unplaced rows whose (key, -multiplicity) is
+    least.  All of them append the same canonical rows, so the prefix
+    comparisons against the incumbent (`best`) and the first leaf are made
+    once per node.  A leaf equal to `best` or to the first leaf yields a row
+    automorphism; the search then unwinds to the node where the two paths
+    split, whose current child that automorphism maps onto an already
+    finished sibling.
+    """
+
+    def __init__(self, rows, mult, p, budget):
+        self.rows = rows
+        self.mult = mult
+        self.p = p
+        self.budget = budget
+        self.nodes = 0
+        self.first = None       # (canonical rows, row ids, colors) of leaf 1
+        self.best = None
+        self.best_version = 0
+        self.generators: list[tuple[int, ...]] = []
+        self.orbit_product = 1
+
+    def node(self, ids, canon, colors, remaining, rel, eq_first) -> int:
+        """Search below one node; returns the depth the search unwinds to.
+
+        `rel` compares `canon` with the same rows of `best` (-1, 0, +1) and
+        `eq_first` says whether it equals the first leaf's prefix; both are
+        meaningless before the first leaf exists.  A chain of nodes with one
+        child each is walked in a loop, so the recursion only grows at
+        branching nodes.
+        """
+        p = self.p
+        start = len(canon)
+        while True:
+            self.nodes += 1
+            if self.budget is not None and self.nodes > self.budget:
+                raise BudgetExceededError(
+                    f"canonical-form search exceeded its node budget {self.budget}",
+                    nodes=self.nodes)
+            depth = len(ids)
+            if not remaining:
+                target = self._leaf(ids, canon, colors, rel, eq_first)
+                del canon[start:]
+                return target
+            discrete = len(set(colors)) == len(colors)
+            if discrete:
+                # Every cell is one column, so no two keys tie: the unplaced
+                # rows follow in ascending order, all in one step.
+                col_order = sorted(range(len(colors)), key=colors.__getitem__)
+                placed = sorted((tuple(self.rows[u][j] for j in col_order), u)
+                                for u in remaining)
+                block = tuple(key for key, u in placed for _ in range(self.mult[u]))
+            else:
+                least = None
+                tied: list[int] = []
+                for u in remaining:
+                    key = (sorted([c + d for c, d in zip(colors, self.rows[u])]), -self.mult[u])
+                    if least is None or key < least:
+                        least, tied = key, [u]
+                    elif key == least:
+                        tied.append(u)
+                block = (tuple(v % p for v in least[0]),) * -least[1]
+            k = len(canon)
+            on_first_path = self.first is None
+            if not on_first_path:
+                if rel == 0:
+                    best_block = self.best[0][k:k + len(block)]
+                    rel = (block > best_block) - (block < best_block)
+                eq_first = eq_first and block == self.first[0][k:k + len(block)]
+                if rel > 0 and not eq_first:
+                    del canon[start:]
+                    return depth
+            canon += block
+            if discrete:
+                ids += tuple(u for _, u in placed)
+                remaining = ()
+                continue
+            # Split every cell by the chosen row's digit, smaller digits first.
+            rank = {v: i * p for i, v in enumerate(dict.fromkeys(least[0]))}
+            if len(tied) > 1:
+                break
+            u = tied[0]
+            ids += (u,)
+            colors = tuple(rank[c + d] for c, d in zip(colors, self.rows[u]))
+            remaining = tuple(x for x in remaining if x != u)
+        explored: list[int] = []
+        roots = None
+        seen_gens = -1
+        for u in tied:
+            if explored and self.generators:
+                if seen_gens != len(self.generators):
+                    seen_gens = len(self.generators)
+                    roots = self._orbit_roots(ids)
+                if roots[u] in {roots[e] for e in explored}:
+                    continue
+            explored.append(u)
+            version = self.best_version
+            target = self.node(ids + (u,), canon,
+                               tuple(rank[c + d] for c, d in zip(colors, self.rows[u])),
+                               tuple(x for x in remaining if x != u), rel, eq_first)
+            if target < depth:
+                del canon[start:]
+                return target
+            if self.best_version != version:
+                rel, eq_first = 0, eq_first or on_first_path
+        del canon[start:]
+        if on_first_path:
+            # Automorphisms preserve keys, so the orbit lies within `tied`.
+            roots = self._orbit_roots(ids)
+            self.orbit_product *= roots.count(roots[tied[0]])
+        return depth
+
+    def _leaf(self, ids, canon, colors, rel, eq_first) -> int:
+        leaf = (tuple(canon), ids, colors)
+        if self.first is None:
+            self.first = self.best = leaf
+            self.best_version += 1
+            return len(ids)
+        if rel < 0:
+            self.best = leaf
+            self.best_version += 1
+            return len(ids)
+        match = self.best if rel == 0 else self.first
+        assert rel == 0 or eq_first
+        gen = [0] * len(self.rows)
+        for u, v in zip(ids, match[1]):
+            gen[u] = v
+        self.generators.append(tuple(gen))
+        split = 0
+        while ids[split] == match[1][split]:
+            split += 1
+        return split
+
+    def _orbit_roots(self, fixed) -> list[int]:
+        """Orbit representative of every row id under the automorphisms
+        found so far that fix the rows `fixed` pointwise."""
+        parent = list(range(len(self.rows)))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for gen in self.generators:
+            if all(gen[x] == x for x in fixed):
+                for x, y in enumerate(gen):
+                    rx, ry = find(x), find(y)
+                    if rx != ry:
+                        parent[max(rx, ry)] = min(rx, ry)
+        return [find(x) for x in range(len(parent))]
 
 
 def equivalent(a: Matrix, b: Matrix) -> PermPair | None:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import pathlib
 import re
 from dataclasses import dataclass
@@ -29,6 +30,15 @@ def all_matrices(n, m, p):
     """Every n x m matrix over {0..p-1}."""
     for entries in itertools.product(range(p), repeat=n * m):
         yield Matrix(n, m, p, tuple(entries[i * m:(i + 1) * m] for i in range(n)))
+
+
+def brute_orbit_size(a: Matrix) -> int:
+    """|class of a| = n! * m! / |stabilizer|, by trying all n! * m! pairs."""
+    stab = sum(1 for rho in itertools.permutations(range(a.n))
+               for sigma in itertools.permutations(range(a.m))
+               if all(a.rows[rho[i]][sigma[j]] == a.rows[i][j]
+                      for i in range(a.n) for j in range(a.m)))
+    return math.factorial(a.n) * math.factorial(a.m) // stab
 
 
 def naive_minimum(a: Matrix) -> tuple:

@@ -1,7 +1,9 @@
 import io
 import json
 
-from canonmat import apply, format_matrix, parse_matrix
+import pytest
+
+from canonmat import Matrix, apply, cli, format_matrix, parse_matrix
 from canonmat.cli import main
 from canonmat.equivalence import PermPair, Permutation
 from conftest import DEMO_34, TRIO_A, TRIO_B, TRIO_C
@@ -84,6 +86,14 @@ class TestCanonize:
         pp = PermPair(Permutation(row_images), Permutation(col_images))
         assert apply(TRIO_A, pp) == TRIO_C
 
+    def test_budget(self, tmp_path):
+        identity = Matrix.from_rows([[int(i == j) for j in range(8)] for i in range(8)], 2)
+        path, manifest = write(tmp_path, "id8.txt", identity), str(tmp_path / "m.json")
+        assert run("--manifest", manifest, "--budget", "3", "canonize", path)[0] == 4
+        assert json.loads(open(manifest).read())["nodes"] == 4
+        assert run("--manifest", manifest, "canonize", path)[0] == 0
+        assert json.loads(open(manifest).read())["nodes"] > 4
+
 
 class TestEnumerateAndCount:
     def test_count_only(self):
@@ -118,6 +128,30 @@ class TestEnumerateAndCount:
                         "--count-only")
         assert code == 0
         assert out == "count=2\n"
+
+    def test_partition_written_when_done(self, monkeypatch):
+        parallel = run("enumerate", "3", "3", "2", "--workers", "2")[1]
+        calls = []
+        worker = cli._partition_worker
+
+        def recording_worker(job):
+            calls.append(job)
+            return worker(job)
+
+        class Out(io.StringIO):
+            calls_at_first_write = None
+
+            def write(self, text):
+                if self.calls_at_first_write is None:
+                    self.calls_at_first_write = len(calls)
+                return super().write(text)
+
+        monkeypatch.setattr(cli, "_partition_worker", recording_worker)
+        out = Out()
+        assert main(["enumerate", "3", "3", "2"], out=out) == 0
+        assert out.calls_at_first_write == 1
+        assert len(calls) == 4
+        assert out.getvalue() == parallel
 
     def test_workers_byte_identical(self):
         _, serial = run("enumerate", "3", "3", "2", "--workers", "1")
@@ -160,6 +194,33 @@ class TestExitCodes:
 
     def test_bad_filter_spec(self):
         assert run("enumerate", "2", "2", "3", "--filter", "bogus")[0] == 2
+
+
+# Malformed inputs and the exit code each must leave through, traceback-free.
+BAD_INPUTS = [
+    (["canonize", "FILE"], b"# caf\xe9\n2 2 2\n0 1\n1 0\n", 2),
+    (["encode", "FILE"], b"2 2 2\n0 1\n1 \xff\n", 2),
+    (["enumerate", "0", "3", "2"], None, 2),
+    (["enumerate", "2", "2", "1", "--count-only"], None, 2),
+    (["count", "2", "2", "1"], None, 2),
+    (["classify-weighing", "3", "5"], None, 2),
+    (["classify-weighing", "3", "0"], None, 2),
+    (["classify-hadamard", "0"], None, 2),
+    (["enumerate", "3", "2", "3", "--filter", "hadamard", "--count-only"], None, 2),
+    (["enumerate", "2", "2", "2", "--filter", "hadamard"], None, 2),
+    (["enumerate", "2", "2", "3", "--filter", "weighing:0"], None, 2),
+]
+
+
+@pytest.mark.parametrize("argv,data,code", BAD_INPUTS,
+                         ids=[" ".join(argv) for argv, _, _ in BAD_INPUTS])
+def test_bad_input_exit_code(tmp_path, capsys, argv, data, code):
+    if data is not None:
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    assert run(*argv) == (code, "")
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestManifest:

@@ -1,9 +1,10 @@
 import pytest
+from hypothesis import given, settings
 
 from canonmat import (BudgetExceededError, Matrix, burnside_count,
                       canonical_form, census, enumerate_canonical,
                       orbit_size, pruned_canonical_form)
-from conftest import all_matrices
+from conftest import SWEEP_SHAPES, all_matrices, brute_orbit_size, matrices
 
 
 class TestBurnside:
@@ -84,8 +85,9 @@ class TestCensus:
         assert len(result.representatives) == 7
 
     def test_orbit_sizes_partition_everything(self):
-        reps = census(3, 3, 2, stream=True).representatives
-        assert sum(orbit_size(r) for r in reps) == 2**9
+        for n, m, p in SWEEP_SHAPES + [(4, 3, 3)]:
+            reps = census(n, m, p, stream=True).representatives
+            assert sum(orbit_size(r) for r in reps) == p**(n * m), (n, m, p)
 
 
 class TestOrbitSize:
@@ -94,3 +96,8 @@ class TestOrbitSize:
 
     def test_identity_pattern(self):
         assert orbit_size(Matrix.from_rows([(1, 0), (0, 1)], 2)) == 2
+
+    @given(matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, a):
+        assert orbit_size(a) == brute_orbit_size(a)

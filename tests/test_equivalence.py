@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,28 @@ from hypothesis import strategies as st
 from canonmat import (BudgetExceededError, Matrix, PermPair, Permutation,
                       apply, canonical_form, equivalent,
                       pruned_canonical_form)
-from conftest import all_matrices, matrices, naive_minimum
+from conftest import SWEEP_SHAPES, all_matrices, matrices, naive_minimum
+
+
+def identity_matrix(n):
+    return Matrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)], 2)
+
+
+def sylvester(order):
+    """Sylvester Hadamard matrix, +1 as digit 1 and -1 as digit 2."""
+    h = [[1]]
+    while len(h) < order:
+        h = [r + r for r in h] + [r + [-x for x in r] for r in h]
+    return Matrix.from_rows([[1 if x == 1 else 2 for x in r] for r in h], 3)
+
+
+# Inputs with a known automorphism group order.  The permutation
+# automorphisms of the Sylvester matrix of order 2^k form GL(k, 2).
+PINNED_AUT = ([(f"identity{n}", identity_matrix(n), math.factorial(n)) for n in range(1, 13)]
+              + [("zero2x12", Matrix.from_rows([[0] * 12] * 2, 2), 2 * math.factorial(12)),
+                 ("sylvester8", sylvester(8), 168),
+                 ("sylvester16", sylvester(16), 20_160),
+                 ("sylvester32", sylvester(32), 9_999_360)])
 
 
 def random_pair(data, n, m):
@@ -104,16 +127,44 @@ class TestPrunedCanonicalForm:
         assert res.canonical == z
         assert res.witness == PermPair.identity(2, 2)
 
-    def test_agrees_with_exhaustive_on_all_3x3_binary(self):
-        for a in all_matrices(3, 3, 2):
-            assert pruned_canonical_form(a).canonical == canonical_form(a).canonical
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_agrees_with_exhaustive_on_every_matrix(self, shape):
+        # The witness puts each result in its input's class; a result that is
+        # its own exhaustive minimum is then that class's minimum.
+        results = set()
+        for a in all_matrices(*shape):
+            res = pruned_canonical_form(a)
+            assert apply(a, res.witness) == res.canonical
+            results.add(res.canonical)
+        for c in results:
+            assert canonical_form(c).canonical == c
 
-    @given(matrices())
-    @settings(max_examples=200)
+    @given(matrices(max_n=6, max_m=7))
+    @settings(max_examples=200, deadline=None)
     def test_agrees_with_exhaustive(self, a):
         res = pruned_canonical_form(a)
         assert res.canonical == canonical_form(a).canonical
         assert apply(a, res.witness) == res.canonical
+
+    @pytest.mark.parametrize("name,a,order", PINNED_AUT, ids=[c[0] for c in PINNED_AUT])
+    def test_pinned_automorphism_group_order(self, name, a, order):
+        rng = random.Random(name)
+        rho, sigma = list(range(a.n)), list(range(a.m))
+        rng.shuffle(rho)
+        rng.shuffle(sigma)
+        copy = apply(a, PermPair(Permutation(tuple(rho)), Permutation(tuple(sigma))))
+        results = []
+        for b in (a, copy):
+            res = pruned_canonical_form(b, budget=1_000)
+            assert res.aut_order == order
+            assert apply(b, res.witness) == res.canonical
+            # The node count repeats exactly, and the budget is charged per node.
+            assert pruned_canonical_form(b, budget=res.nodes).nodes == res.nodes
+            with pytest.raises(BudgetExceededError) as exc:
+                pruned_canonical_form(b, budget=res.nodes - 1)
+            assert exc.value.nodes == res.nodes
+            results.append(res)
+        assert results[0].canonical == results[1].canonical
 
 
 class TestEquivalent:
