@@ -161,11 +161,13 @@ def census(n: int, m: int, p: int, stream: bool = False,
            budget: int | None = DEFAULT_BUDGET) -> ClassCensus:
     """Enumerated class count cross-checked against the Burnside oracle.
 
-    Raises IntegrityError (carrying both counts) on disagreement.
+    Raises IntegrityError (carrying both counts) on disagreement.  The
+    Burnside count comes first, so a shape past its guard fails before any
+    enumeration.
     """
+    expected = burnside_count(n, m, p)
     counters: dict = {}
     reps = list(enumerate_canonical(n, m, p, budget=budget, counters=counters))
-    expected = burnside_count(n, m, p)
     result = ClassCensus(shape=(n, m, p), count=len(reps), burnside=expected,
                          representatives=reps if stream else None,
                          nodes=counters.get("nodes", 0))

@@ -4,8 +4,9 @@ Digits {0, 1, 2} stand for {0, 1, -1}; the predicates check the integer
 Gram identity W W^T = k I on that sign view.  Classification enumerates
 canonical base-3 matrices with a row-count pruning filter (every row of a
 weight-k matrix has exactly k nonzero entries) and keeps those passing the
-predicate.  Equivalence here is permutation-only: no row or column
-negations, so class counts differ from the negation-equivalence literature.
+predicate.  A Hadamard matrix of order n is a weighing matrix of weight n.
+Equivalence here is permutation-only: no row or column negations, so class
+counts differ from the negation-equivalence literature.
 """
 
 from __future__ import annotations
@@ -21,11 +22,15 @@ def sign_view(a: Matrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(-1 if e == 2 else e for e in row) for row in a.rows)
 
 
-def _gram_is_scaled_identity(a: Matrix, k: int) -> bool:
+def is_weighing(a: Matrix, k: int) -> bool:
+    """Square, with W W^T = k I on the sign view."""
+    if a.n != a.m:
+        raise ValueError(f"weighing check requires a square matrix, got {a.n}x{a.m}")
+    if not (1 <= k <= a.n):
+        raise ValueError(f"weight k={k} outside [1, {a.n}]")
     sv = sign_view(a)
-    n = a.n
-    for i in range(n):
-        for j in range(i, n):
+    for i in range(a.n):
+        for j in range(i, a.n):
             dot = sum(sv[i][c] * sv[j][c] for c in range(a.m))
             if dot != (k if i == j else 0):
                 return False
@@ -33,47 +38,38 @@ def _gram_is_scaled_identity(a: Matrix, k: int) -> bool:
 
 
 def is_hadamard(a: Matrix) -> bool:
-    """Square, no zero entries, and pairwise-orthogonal rows of norm n."""
-    if a.n != a.m:
-        raise ValueError(f"Hadamard check requires a square matrix, got {a.n}x{a.m}")
-    if any(e == 0 for row in a.rows for e in row):
-        return False
-    return _gram_is_scaled_identity(a, a.n)
+    """Weight n: the diagonal of W W^T = n I leaves no zero entry."""
+    return is_weighing(a, a.n)
 
 
-def is_weighing(a: Matrix, k: int) -> bool:
-    """W W^T = k I on the sign view; coincides with is_hadamard when k = n."""
-    if a.n != a.m:
-        raise ValueError(f"weighing check requires a square matrix, got {a.n}x{a.m}")
-    if not (1 <= k <= a.n):
-        raise ValueError(f"weight k={k} outside [1, {a.n}]")
-    return _gram_is_scaled_identity(a, k)
+def weighing_filters(k: int):
+    """(leaf predicate, row filter) that enumerate the weight-k matrices.
 
-
-def _all_nonzero(row: tuple[int, ...]) -> bool:
-    return all(e != 0 for e in row)
-
-
-def classify_hadamard(n: int, budget: int | None = None) -> ClassCensus:
-    """Canonical representatives of the n x n Hadamard matrices.
-
-    Empty census (no error) at orders where none exist.
+    The predicate looks up `is_weighing` at each call, once per leaf.
     """
-    kwargs = {} if budget is None else {"budget": budget}
-    reps = list(enumerate_canonical(n, n, 3, predicate=is_hadamard,
-                                    row_filter=_all_nonzero, **kwargs))
-    return ClassCensus(shape=(n, n, 3), count=len(reps), representatives=reps)
+    def predicate(a: Matrix) -> bool:
+        return is_weighing(a, k)
+
+    def row_filter(row: tuple[int, ...]) -> bool:
+        return sum(1 for e in row if e != 0) == k
+
+    return predicate, row_filter
 
 
 def classify_weighing(n: int, k: int, budget: int | None = None) -> ClassCensus:
-    """Canonical representatives of the weight-k weighing matrices of order n."""
+    """Canonical representatives of the weight-k weighing matrices of order n.
+
+    Empty census (no error) at orders where none exist.
+    """
     if not (1 <= k <= n):
         raise ValueError(f"weight k={k} outside [1, {n}]")
+    predicate, row_filter = weighing_filters(k)
     kwargs = {} if budget is None else {"budget": budget}
-
-    def k_nonzeros(row: tuple[int, ...]) -> bool:
-        return sum(1 for e in row if e != 0) == k
-
-    reps = list(enumerate_canonical(n, n, 3, predicate=lambda a: is_weighing(a, k),
-                                    row_filter=k_nonzeros, **kwargs))
+    reps = list(enumerate_canonical(n, n, 3, predicate=predicate,
+                                    row_filter=row_filter, **kwargs))
     return ClassCensus(shape=(n, n, 3), count=len(reps), representatives=reps)
+
+
+def classify_hadamard(n: int, budget: int | None = None) -> ClassCensus:
+    """Canonical representatives of the n x n Hadamard matrices."""
+    return classify_weighing(n, n, budget)

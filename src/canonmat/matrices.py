@@ -56,7 +56,11 @@ class Matrix:
 
 @dataclass(frozen=True)
 class RowCode:
-    """Ordered tuple of row numerals, each a fixed-width base-p digit sequence."""
+    """Ordered tuple of numerals, each a fixed-width base-p digit sequence.
+
+    Serves as the row code (rows read left to right) and, under the alias
+    ColCode, as the column code (columns read top to bottom).
+    """
 
     width: int
     base: int
@@ -74,24 +78,7 @@ class RowCode:
         return " ".join(render_value(d, self.base) for d in self.digits)
 
 
-@dataclass(frozen=True)
-class ColCode:
-    """Ordered tuple of column numerals, read top to bottom."""
-
-    width: int
-    base: int
-    digits: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_ints(cls, values, width: int, base: int) -> "ColCode":
-        return cls(width=width, base=base,
-                   digits=tuple(_int_to_digits(v, width, base) for v in values))
-
-    def values(self) -> tuple[int, ...]:
-        return tuple(_digits_to_int(d, self.base) for d in self.digits)
-
-    def render(self) -> str:
-        return " ".join(render_value(d, self.base) for d in self.digits)
+ColCode = RowCode
 
 
 def _digits_to_int(digits, base: int) -> int:
@@ -137,13 +124,11 @@ def decode_rows(code: RowCode) -> Matrix:
 
 
 def lex_compare(a, b) -> int:
-    """Lexicographic comparison of two codes of the same kind and shape.
+    """Lexicographic comparison of two codes of the same shape.
 
     Returns -1, 0, or 1.  Works digit-sequence-wise, so no unbounded integer
     arithmetic is involved.
     """
-    if type(a) is not type(b):
-        raise ValueError("cannot compare codes of different kinds")
     if a.width != b.width or a.base != b.base or len(a.digits) != len(b.digits):
         raise ValueError("cannot compare codes of different shapes")
     if a.digits < b.digits:
@@ -157,14 +142,15 @@ def parse_matrix(text: str) -> Matrix:
     """Parse the matrix text format.
 
     Line 1 holds `n m p`; the next n lines hold m space-separated digits.
-    `#`-prefixed lines and blank lines before the header are ignored.
+    `#`-prefixed lines and blank lines are ignored before the header and
+    after the last row; any other line after the last row is an error.
     """
     lines = text.splitlines()
-    pos = 0
-    while pos < len(lines) and (not lines[pos].strip() or lines[pos].lstrip().startswith("#")):
-        pos += 1
-    if pos >= len(lines):
+    content = [k for k, line in enumerate(lines)
+               if line.strip() and not line.lstrip().startswith("#")]
+    if not content:
         raise ParseError("missing header line")
+    pos = content[0]
     header = lines[pos].split()
     if len(header) != 3:
         raise ParseError(f"header must be 'n m p', got {lines[pos]!r}")
@@ -187,6 +173,9 @@ def parse_matrix(text: str) -> Matrix:
         except ValueError:
             raise ParseError(f"row {k + 1}: non-integer entry") from None
         rows.append(row)
+    if content[-1] > pos + n:
+        extra = next(k for k in content if k > pos + n)
+        raise ParseError(f"unexpected line after the {n} rows: {lines[extra]!r}")
     return Matrix(n=n, m=m, p=p, rows=tuple(rows))
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from canonmat import Matrix, apply, cli, format_matrix, parse_matrix
+from canonmat import Matrix, apply, cli, enumeration, format_matrix, parse_matrix
 from canonmat.cli import main
 from canonmat.equivalence import PermPair, Permutation
 from conftest import DEMO_34, TRIO_A, TRIO_B, TRIO_C
@@ -160,6 +160,26 @@ class TestEnumerateAndCount:
         assert serial.endswith("# count=36\n")
 
 
+# Each shorthand command and the enumerate arguments it stands for.
+SHORTHAND_CASES = (
+    [(["count", *shape], ["enumerate", *shape, "--count-only"])
+     for shape in (("1", "1", "5"), ("2", "2", "3"), ("3", "3", "2"))]
+    + [(["classify-hadamard", n], ["enumerate", n, n, "3", "--filter", "hadamard"])
+       for n in ("1", "2", "3", "4")]
+    + [(["classify-weighing", n, k], ["enumerate", n, n, "3", "--filter", f"weighing:{k}"])
+       for n, k in (("4", "2"), ("4", "3"), ("5", "2"))]
+)
+
+
+@pytest.mark.parametrize("shorthand,expanded", SHORTHAND_CASES,
+                         ids=[" ".join(s) for s, _ in SHORTHAND_CASES])
+def test_shorthand_matches_enumerate(shorthand, expanded):
+    code, out = run(*shorthand)
+    assert code == 0
+    for workers in ("1", "2"):
+        assert run(*expanded, "--workers", workers) == (0, out)
+
+
 class TestClassify:
     def test_hadamard(self):
         code, out = run("classify-hadamard", "2")
@@ -195,6 +215,24 @@ class TestExitCodes:
     def test_bad_filter_spec(self):
         assert run("enumerate", "2", "2", "3", "--filter", "bogus")[0] == 2
 
+    def test_burnside_guard_before_enumeration(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("enumerated past the Burnside guard")
+
+        monkeypatch.setattr(enumeration, "enumerate_canonical", never)
+        monkeypatch.setattr(cli, "enumerate_canonical", never)
+        assert run("enumerate", "13", "3", "2", "--count-only") == (4, "")
+
+    @pytest.mark.parametrize("argv", [["classify-hadamard", "4"],
+                                      ["enumerate", "4", "4", "3", "--filter", "hadamard"]])
+    def test_budget_boundary_keeps_finished_partitions(self, argv):
+        code, full = run("--budget", "2569", *argv)
+        assert code == 0
+        code, partial = run("--budget", "2568", *argv)
+        assert code == 4
+        assert partial.startswith("# predicate=hadamard\n4 4 3\n")
+        assert full.startswith(partial)
+
 
 # Malformed inputs and the exit code each must leave through, traceback-free.
 BAD_INPUTS = [
@@ -209,6 +247,9 @@ BAD_INPUTS = [
     (["enumerate", "3", "2", "3", "--filter", "hadamard", "--count-only"], None, 2),
     (["enumerate", "2", "2", "2", "--filter", "hadamard"], None, 2),
     (["enumerate", "2", "2", "3", "--filter", "weighing:0"], None, 2),
+    (["enumerate", "3", "3", "3", "--filter", "weighing:5"], None, 2),
+    (["enumerate", "3", "3", "3", "--filter", "weighing:5", "--count-only"], None, 2),
+    (["check", "FILE"], b"1 2 2\n0 1\n9 9 9\n", 2),
 ]
 
 
@@ -237,6 +278,15 @@ class TestManifest:
         assert a == b
         assert a["shape"] == [4, 4, 3]
         assert len(a["input_digest"]) == 64
+
+    def test_shorthand_records_enumerate_nodes(self, tmp_path):
+        nodes = []
+        for argv in (["classify-hadamard", "4"],
+                     ["enumerate", "4", "4", "3", "--filter", "hadamard"]):
+            path = str(tmp_path / "m.json")
+            assert run("--manifest", path, *argv)[0] == 0
+            nodes.append(json.loads(open(path).read())["nodes"])
+        assert nodes[0] == nodes[1] > 0
 
     def test_records_nodes(self, tmp_path):
         path = str(tmp_path / "m.json")

@@ -106,6 +106,7 @@ class TestTextFormat:
         "", "# only a comment\n", "2 2\n0 1\n1 0\n", "a b c\n",
         "2 2 2\n0 1\n", "2 2 2\n0 1 1\n1 0\n", "2 2 2\n0 x\n1 0\n",
         "2 2 1\n0 0\n0 0\n", "0 2 2\n",
+        "1 2 2\n0 1\n9 9 9\n", "2 2 2\n0 1\n1 0\n\n1 1\n", "1 1 2\n1\n# x\nend\n",
     ])
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
@@ -114,6 +115,23 @@ class TestTextFormat:
     def test_digit_out_of_range(self):
         with pytest.raises(DigitRangeError):
             parse_matrix("2 2 2\n0 2\n1 0\n")
+
+    def test_trailing_comments_and_blanks(self):
+        text = "2 2 2\n0 1\n1 0\n\n# trailer\n  \n"
+        assert parse_matrix(text).rows == ((0, 1), (1, 0))
+
+    @given(st.one_of(
+        st.text(),
+        st.lists(st.one_of(
+            st.sampled_from(["", "# c", "2 2 2", "1 1 3", "0 1", "1 0", "9 9 9",
+                             "2", "-1 0", "x", " 1  2 "]),
+            st.text(alphabet="0123456789 -#\t\r\x0c", max_size=8)),
+            max_size=6).map("\n".join)))
+    def test_any_text_parses_or_raises_documented_error(self, text):
+        try:
+            assert isinstance(parse_matrix(text), Matrix)
+        except (ParseError, DigitRangeError):
+            pass
 
 
 class TestMatrixInvariants:
