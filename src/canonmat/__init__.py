@@ -5,8 +5,9 @@ from .canonicity import (CanonicityReport, RowStats, condition5_transform,
                          is_semi_canonical, row_stats)
 from .enumeration import (ClassCensus, burnside_count, census,
                           enumerate_canonical, orbit_size)
-from .equivalence import (CanonResult, Permutation, PermPair, apply,
-                          canonical_form, equivalent, pruned_canonical_form)
+from .equivalence import (CanonResult, MinimalityResult, Permutation,
+                          PermPair, apply, canonical_form, equivalent,
+                          is_minimal, pruned_canonical_form)
 from .errors import (BudgetExceededError, DigitRangeError, IntegrityError,
                      ParseError)
 from .hadamard import (classify_hadamard, classify_weighing, is_hadamard,
@@ -16,12 +17,14 @@ from .matrices import (ColCode, Matrix, RowCode, decode_rows, encode_cols,
 
 __all__ = [
     "BudgetExceededError", "CanonResult", "CanonicityReport", "ClassCensus",
-    "ColCode", "DigitRangeError", "IntegrityError", "Matrix", "ParseError",
+    "ColCode", "DigitRangeError", "IntegrityError", "Matrix",
+    "MinimalityResult", "ParseError",
     "PermPair", "Permutation", "RowCode", "RowStats", "apply",
     "burnside_count", "canonical_form", "census", "classify_hadamard",
     "classify_weighing", "condition5_transform", "decode_rows", "encode_cols",
     "encode_rows", "enumerate_canonical", "equivalent", "first_row_col_structure",
-    "format_matrix", "is_canonical", "is_hadamard", "is_semi_canonical",
+    "format_matrix", "is_canonical", "is_hadamard", "is_minimal",
+    "is_semi_canonical",
     "is_weighing", "lex_compare", "orbit_size", "parse_matrix",
     "pruned_canonical_form", "row_stats", "sign_view",
 ]

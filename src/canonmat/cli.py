@@ -85,12 +85,14 @@ def _run_partitions(n, m, p, k, budget, workers, out, count_only):
 
     Partitions are consumed in first-row order, so the byte stream is
     identical for any worker count, and each is written as soon as it and
-    every earlier one are done.  The node budget is charged cumulatively at
-    partition boundaries (and each partition is individually capped).
+    every earlier one are done.  The pool has at most one process per
+    partition.  The node budget is charged cumulatively at partition
+    boundaries (and each partition is individually capped).
     """
     row_filter = None if k is None else hm.weighing_filters(k)[1]
     jobs = [(n, m, p, f, k, budget) for f in structured_first_rows(m, p)
             if row_filter is None or row_filter(f)]
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return _write_partitions(pool.map(_partition_worker, jobs), budget,
@@ -198,7 +200,10 @@ def _run(args, out, meta: dict) -> str:
             out.write("cols: " + " ".join(str(j + 1) for j in result.witness.col.images) + "\n")
         return "canonized"
 
-    meta.update(shape=_shape(args.n, args.m, args.p), workers=args.workers)
+    meta["shape"] = _shape(args.n, args.m, args.p)
+    if args.workers < 1:
+        raise ParseError(f"--workers must be at least 1, got {args.workers}")
+    meta["workers"] = args.workers
     k = header = None
     if args.filter:
         if args.n != args.m or args.p != 3:

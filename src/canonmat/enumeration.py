@@ -4,7 +4,9 @@ Generation is a depth-first search over row codes: the first row must have
 the zeros-then-nondecreasing-nonzeros shape every canonical matrix starts
 with, each later row is >= its predecessor and carries at least as many
 nonzero entries as the first (all provably necessary for minimality), and
-completed candidates are kept iff they equal their own canonical form.
+completed candidates are kept iff `is_minimal` holds: the engine's
+early-exit mode, which stops at the first arrangement below the candidate.
+Its search nodes count in the enumerator's node total and budget.
 The six-condition structural check is deliberately NOT the leaf filter: it
 admits non-minimal matrices (e.g. at 3x3 over p=3) and rejects some minima
 (e.g. at 4x4 over p=2), so counts filtered by it would not partition the
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .equivalence import pruned_canonical_form
+from .equivalence import is_minimal, pruned_canonical_form
 from .errors import BudgetExceededError, IntegrityError
 from .matrices import Matrix
 
@@ -64,8 +66,9 @@ def enumerate_canonical(n: int, m: int, p: int,
     `predicate` filters completed canonical matrices.  `row_filter`, when
     given, must hold for every row of every matrix of interest (it is used
     to prune, so it has to be invariant under the equivalence); e.g. "no
-    zero entries" for Hadamard candidates.  `counters`, when passed, gets a
-    "nodes" entry with the number of partial rows placed.  `first_rows`
+    zero entries" for Hadamard candidates.  `budget` caps the nodes: partial
+    rows placed plus the search nodes of every leaf test.  `counters`, when
+    passed, gets their running total as its "nodes" entry.  `first_rows`
     restricts the search to the given first-row choices (used to partition
     the tree among workers); it must be a subset of structured_first_rows.
     """
@@ -78,8 +81,8 @@ def enumerate_canonical(n: int, m: int, p: int,
     if counters is not None:
         counters["nodes"] = 0
 
-    def charge():
-        state["nodes"] += 1
+    def charge(amount=1):
+        state["nodes"] += amount
         if counters is not None:
             counters["nodes"] = state["nodes"]
         if budget is not None and state["nodes"] > budget:
@@ -90,8 +93,16 @@ def enumerate_canonical(n: int, m: int, p: int,
     def extend(prefix: list[tuple[int, ...]], s: int) -> Iterator[Matrix]:
         if len(prefix) == n:
             cand = Matrix(n=n, m=m, p=p, rows=tuple(prefix))
-            if ((predicate is None or predicate(cand))
-                    and pruned_canonical_form(cand).canonical == cand):
+            if predicate is not None and not predicate(cand):
+                return
+            left = None if budget is None else budget - state["nodes"]
+            try:
+                test = is_minimal(cand, budget=left)
+            except BudgetExceededError as exc:
+                charge(exc.nodes)  # past the budget, so this raises
+                raise
+            charge(test.nodes)
+            if test.minimal:
                 state["emitted"] += 1
                 yield cand
             return

@@ -4,17 +4,23 @@ Two matrices are equivalent when one arises from the other by permuting
 rows and columns.  The canonical representative of a class is the member
 whose row code is lexicographically minimal.
 
-`pruned_canonical_form` is the one engine behind canonize, the
-enumerator's leaf test and `equivalent`.  It builds the minimum row by row.
-The placed rows split the columns into ordered cells; the next canonical
-row is the least, over the unplaced rows, of the row's digits sorted within
-each cell, and placing it splits every cell by digit value.  The search
-branches only on rows whose keys tie, places rows of identical content
-once, cuts prefixes that already compare greater than the incumbent, and
-skips tied rows that an automorphism found so far maps onto an explored
-sibling; two equal leaves give such an automorphism (after McKay and
-Piperno, *Practical graph isomorphism II*, J. Symb. Comput. 2014).  The
-orbit sizes along the first path give |Aut| as a by-product.
+One search engine, `_RowSearch`, runs in two modes.  Its minimum mode,
+`pruned_canonical_form`, is behind canonize and `equivalent`; its
+minimality mode, `is_minimal`, is the enumerator's leaf test.  The search
+builds the minimum row by row.  The placed rows split the columns into
+ordered cells; the next canonical row is the least, over the unplaced rows,
+of the row's digits sorted within each cell, and placing it splits every
+cell by digit value.  The search branches only on rows whose keys tie,
+places rows of identical content once, cuts prefixes that already compare
+greater than the incumbent, and skips tied rows that an automorphism found
+so far maps onto an explored sibling; two equal leaves give such an
+automorphism (after McKay and Piperno, *Practical graph isomorphism II*,
+J. Symb. Comput. 2014).  The orbit sizes along the first path give |Aut| as
+a by-product.  In minimality mode the candidate's own rows are the
+incumbent from the root, so the first prefix below them ends the search
+with "not minimal", and every leaf reached equals the candidate (after the
+"is canonical?" tests of Kaski and Östergård, *Classification Algorithms
+for Codes and Designs*, 2006).
 
 `canonical_form` tries all m! column orders, taking ascending row sort as
 the optimal row order for each; it is the exhaustive test oracle.
@@ -161,22 +167,57 @@ def pruned_canonical_form(a: Matrix, budget: int | None = None) -> CanonResult:
     width.  Each search node is charged against `budget`; running out
     raises BudgetExceededError carrying the node count.
     """
+    search, sources, _ = _search(a, budget)
+    canon, ids, colors = search.best
+    order = [i for u in ids for i in sources[u]]
+    sigma = sorted(range(a.m), key=colors.__getitem__)
+    return CanonResult(canonical=Matrix(n=a.n, m=a.m, p=a.p, rows=canon),
+                       witness=_witness(order, sigma),
+                       aut_order=search.aut_order(), nodes=search.nodes)
+
+
+@dataclass(frozen=True)
+class MinimalityResult:
+    """Whether a matrix is its own class minimum; true exactly when it is.
+
+    `aut_order` is |Aut| when it is (None otherwise), and `nodes` the
+    search nodes spent.
+    """
+
+    minimal: bool
+    aut_order: int | None
+    nodes: int
+
+    def __bool__(self) -> bool:
+        return self.minimal
+
+
+def is_minimal(a: Matrix, budget: int | None = None) -> MinimalityResult:
+    """Whether `a` equals pruned_canonical_form(a).canonical, by early-exit search.
+
+    Rows that are not ascending fail at once.  Otherwise the search takes
+    `a`'s rows as its incumbent from the root: it cuts prefixes above them
+    and stops at the first prefix below them.  Budget as for
+    pruned_canonical_form.
+    """
+    if any(x > y for x, y in zip(a.rows, a.rows[1:])):
+        return MinimalityResult(False, None, 0)
+    search, _, depth = _search(a, budget, target=a.rows)
+    if depth < 0:
+        return MinimalityResult(False, None, search.nodes)
+    return MinimalityResult(True, search.aut_order(), search.nodes)
+
+
+def _search(a: Matrix, budget, target=None):
+    """Run the row search on `a`: (search, source rows of each distinct
+    row, the depth the root returned, -1 if a prefix fell below `target`)."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, row in enumerate(a.rows):
         groups.setdefault(row, []).append(i)
     sources = list(groups.values())
-    search = _RowSearch(list(groups), [len(s) for s in sources], a.p, budget)
-    search.node((), [], (0,) * a.m, tuple(range(len(sources))), 0, True)
-    canon, ids, colors = search.best
-    order = [i for u in ids for i in sources[u]]
-    sigma = sorted(range(a.m), key=colors.__getitem__)
-    # The columns of a final cell are identical, as are the rows of a group.
-    aut = search.orbit_product
-    for size in [len(s) for s in sources] + list(Counter(colors).values()):
-        aut *= math.factorial(size)
-    return CanonResult(canonical=Matrix(n=a.n, m=a.m, p=a.p, rows=canon),
-                       witness=_witness(order, sigma),
-                       aut_order=aut, nodes=search.nodes)
+    search = _RowSearch(list(groups), [len(s) for s in sources], a.p, budget, target)
+    depth = search.node((), [], (0,) * a.m, tuple(range(len(sources))), 0, False)
+    return search, sources, depth
 
 
 class _RowSearch:
@@ -193,16 +234,22 @@ class _RowSearch:
     automorphism; the search then unwinds to the node where the two paths
     split, whose current child that automorphism maps onto an already
     finished sibling.
+
+    Given `target` rows, the search tests their minimality instead: they are
+    the incumbent from the root, and a node whose block falls below them
+    unwinds the whole search (the root returns -1).  Every leaf then equals
+    the target, so each leaf after the first is an automorphism.
     """
 
-    def __init__(self, rows, mult, p, budget):
+    def __init__(self, rows, mult, p, budget, target=None):
         self.rows = rows
         self.mult = mult
         self.p = p
         self.budget = budget
         self.nodes = 0
         self.first = None       # (canonical rows, row ids, colors) of leaf 1
-        self.best = None
+        self.best = None if target is None else (target, None, None)
+        self.stop_below = target is not None
         self.best_version = 0
         self.generators: list[tuple[int, ...]] = []
         self.orbit_product = 1
@@ -211,10 +258,10 @@ class _RowSearch:
         """Search below one node; returns the depth the search unwinds to.
 
         `rel` compares `canon` with the same rows of `best` (-1, 0, +1) and
-        `eq_first` says whether it equals the first leaf's prefix; both are
-        meaningless before the first leaf exists.  A chain of nodes with one
-        child each is walked in a loop, so the recursion only grows at
-        branching nodes.
+        `eq_first` says whether it equals the first leaf's prefix; each is
+        meaningless while there is no `best`, respectively no first leaf.
+        A chain of nodes with one child each is walked in a loop, so the
+        recursion only grows at branching nodes.
         """
         p = self.p
         start = len(canon)
@@ -249,7 +296,7 @@ class _RowSearch:
                 block = (tuple(v % p for v in least[0]),) * -least[1]
             k = len(canon)
             on_first_path = self.first is None
-            if not on_first_path:
+            if self.best is not None:
                 if rel == 0:
                     best_block = self.best[0][k:k + len(block)]
                     rel = (block > best_block) - (block < best_block)
@@ -257,6 +304,9 @@ class _RowSearch:
                 if rel > 0 and not eq_first:
                     del canon[start:]
                     return depth
+                if rel < 0 and self.stop_below:
+                    del canon[start:]
+                    return -1
             canon += block
             if discrete:
                 ids += tuple(u for _, u in placed)
@@ -293,9 +343,19 @@ class _RowSearch:
         del canon[start:]
         if on_first_path:
             # Automorphisms preserve keys, so the orbit lies within `tied`.
+            # A minimal target's own row order takes tied[0] at every node
+            # and is never cut, so its first leaf lies below tied[0] too.
             roots = self._orbit_roots(ids)
             self.orbit_product *= roots.count(roots[tied[0]])
         return depth
+
+    def aut_order(self) -> int:
+        """|Aut| once the search is done and has a leaf."""
+        # The columns of a final cell are identical, as are the rows of a group.
+        aut = self.orbit_product
+        for size in self.mult + list(Counter(self.best[2]).values()):
+            aut *= math.factorial(size)
+        return aut
 
     def _leaf(self, ids, canon, colors, rel, eq_first) -> int:
         leaf = (tuple(canon), ids, colors)

@@ -153,6 +153,29 @@ class TestEnumerateAndCount:
         assert len(calls) == 4
         assert out.getvalue() == parallel
 
+    def test_pool_capped_at_partition_count(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        serial = run("enumerate", "1", "1", "2")
+        assert sizes == []
+        for workers in ("2", "4", "1000"):
+            assert run("enumerate", "1", "1", "2", "--workers", workers) == serial
+        assert sizes == [2, 2, 2]
+
     def test_workers_byte_identical(self):
         _, serial = run("enumerate", "3", "3", "2", "--workers", "1")
         _, parallel = run("enumerate", "3", "3", "2", "--workers", "4")
@@ -226,9 +249,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [["classify-hadamard", "4"],
                                       ["enumerate", "4", "4", "3", "--filter", "hadamard"]])
     def test_budget_boundary_keeps_finished_partitions(self, argv):
-        code, full = run("--budget", "2569", *argv)
+        code, full = run("--budget", "2695", *argv)
         assert code == 0
-        code, partial = run("--budget", "2568", *argv)
+        code, partial = run("--budget", "2694", *argv)
         assert code == 4
         assert partial.startswith("# predicate=hadamard\n4 4 3\n")
         assert full.startswith(partial)
@@ -250,6 +273,7 @@ BAD_INPUTS = [
     (["enumerate", "3", "3", "3", "--filter", "weighing:5"], None, 2),
     (["enumerate", "3", "3", "3", "--filter", "weighing:5", "--count-only"], None, 2),
     (["check", "FILE"], b"1 2 2\n0 1\n9 9 9\n", 2),
+    (["enumerate", "2", "2", "2", "--workers", "0"], None, 2),
 ]
 
 
@@ -287,6 +311,18 @@ class TestManifest:
             assert run("--manifest", path, *argv)[0] == 0
             nodes.append(json.loads(open(path).read())["nodes"])
         assert nodes[0] == nodes[1] > 0
+
+    def test_count_nodes_include_leaf_tests(self, tmp_path):
+        # 2,209 rows placed and 5,142 leaf-test nodes (tests/test_enumeration.py).
+        path = str(tmp_path / "m.json")
+        assert run("--manifest", path, "enumerate", "4", "4", "2", "--count-only")[0] == 0
+        nodes = json.loads(open(path).read())["nodes"]
+        assert nodes == 7351
+        assert run("--budget", str(nodes), "enumerate", "4", "4", "2",
+                   "--count-only") == (0, "count=317 burnside=317 agree=true\n")
+        assert run("--manifest", path, "--budget", str(nodes - 1), "enumerate", "4", "4",
+                   "2", "--count-only") == (4, "")
+        assert json.loads(open(path).read())["nodes"] == nodes
 
     def test_records_nodes(self, tmp_path):
         path = str(tmp_path / "m.json")

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 
 from canonmat import (BudgetExceededError, Matrix, burnside_count,
-                      canonical_form, census, enumerate_canonical,
-                      orbit_size, pruned_canonical_form)
+                      canonical_form, census, enumeration,
+                      enumerate_canonical, orbit_size, pruned_canonical_form)
 from conftest import SWEEP_SHAPES, all_matrices, brute_orbit_size, matrices
 
 
@@ -60,10 +60,45 @@ class TestEnumerate:
         assert exc.value.nodes > 10
         assert exc.value.partial_count >= 0
 
+    def test_budget_charges_leaf_tests_per_node(self, monkeypatch):
+        real = enumeration.is_minimal
+        overruns_in_leaf_test = []
+
+        def recording(a, budget=None):
+            try:
+                return real(a, budget=budget)
+            except BudgetExceededError:
+                overruns_in_leaf_test.append(budget)
+                raise
+
+        monkeypatch.setattr(enumeration, "is_minimal", recording)
+        counters = {}
+        reps = list(enumerate_canonical(3, 3, 2, counters=counters))
+        total = counters["nodes"]
+        assert len(list(enumerate_canonical(3, 3, 2, budget=total))) == len(reps)
+        for budget in range(total):
+            got = []
+            with pytest.raises(BudgetExceededError) as exc:
+                for a in enumerate_canonical(3, 3, 2, budget=budget):
+                    got.append(a)
+            # The overrun is the first node past the budget, wherever it falls,
+            # and reports the classes yielded before it.
+            assert exc.value.nodes == budget + 1
+            assert exc.value.partial_count == len(got)
+            assert got == reps[:len(got)]
+        assert overruns_in_leaf_test
+
     def test_determinism(self):
         a = [r.rows for r in enumerate_canonical(3, 3, 2)]
         b = [r.rows for r in enumerate_canonical(3, 3, 2)]
         assert a == b
+
+
+# Rows placed by the enumerator and search nodes of its leaf tests, per shape
+# of the benchmark's census.  The leaf tests used 6,940, 10,574, 63,933 and
+# 95,027 nodes as full canonical-form searches.
+CENSUS_NODES = {(3, 3, 3): (1852, 4885), (4, 4, 2): (2209, 5142),
+                (4, 3, 3): (15786, 41107), (3, 4, 3): (22615, 55409)}
 
 
 class TestCensus:
@@ -79,6 +114,27 @@ class TestCensus:
         # no precomputed value here: the two independent counts must match
         result = census(3, 3, 2)
         assert result.count == burnside_count(3, 3, 2)
+
+    @pytest.mark.parametrize("shape", [(5, 4, 2), (4, 5, 2)], ids=["5x4x2", "4x5x2"])
+    def test_agreement_at_five_rows_or_columns(self, shape):
+        result = census(*shape)
+        assert result.count == burnside_count(*shape) == 1053
+
+    @pytest.mark.parametrize("shape", sorted(CENSUS_NODES), ids=lambda s: "x".join(map(str, s)))
+    def test_pinned_nodes(self, shape, monkeypatch):
+        real = enumeration.is_minimal
+        leaf_nodes = []
+
+        def recording(a, budget=None):
+            result = real(a, budget=budget)
+            leaf_nodes.append(result.nodes)
+            return result
+
+        monkeypatch.setattr(enumeration, "is_minimal", recording)
+        result = census(*shape)
+        placed, leaf_tests = CENSUS_NODES[shape]
+        assert sum(leaf_nodes) == leaf_tests
+        assert result.nodes == placed + leaf_tests
 
     def test_stream_mode(self):
         result = census(2, 2, 2, stream=True)

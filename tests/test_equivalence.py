@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canonmat import (BudgetExceededError, Matrix, PermPair, Permutation,
-                      apply, canonical_form, equivalent,
-                      pruned_canonical_form)
-from conftest import SWEEP_SHAPES, all_matrices, matrices, naive_minimum
+from canonmat import (BudgetExceededError, Matrix, MinimalityResult,
+                      PermPair, Permutation, apply, canonical_form,
+                      equivalent, is_minimal, pruned_canonical_form)
+from conftest import (SWEEP_SHAPES, TRIO_C, all_matrices, matrices,
+                      naive_minimum)
 
 
 def identity_matrix(n):
@@ -31,6 +32,13 @@ PINNED_AUT = ([(f"identity{n}", identity_matrix(n), math.factorial(n)) for n in 
                  ("sylvester8", sylvester(8), 168),
                  ("sylvester16", sylvester(16), 20_160),
                  ("sylvester32", sylvester(32), 9_999_360)])
+
+
+def sorted_row_matrices(n, m, p):
+    """Every n x m matrix over {0..p-1} whose rows ascend."""
+    rows = itertools.product(range(p), repeat=m)
+    for combo in itertools.combinations_with_replacement(rows, n):
+        yield Matrix(n, m, p, combo)
 
 
 def random_pair(data, n, m):
@@ -165,6 +173,54 @@ class TestPrunedCanonicalForm:
             assert exc.value.nodes == res.nodes
             results.append(res)
         assert results[0].canonical == results[1].canonical
+
+
+class TestIsMinimal:
+    # Search nodes of the minimality test on class minima with many
+    # automorphisms: without orbit pruning the identity of order 12 alone
+    # would reach 12! leaves.
+    PINNED_NODES = {"identity12": 90, "sylvester16": 60, "sylvester32": 158}
+
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_agrees_with_engine_on_every_sorted_matrix(self, shape):
+        for a in sorted_row_matrices(*shape):
+            res = pruned_canonical_form(a)
+            test = is_minimal(a)
+            assert test.minimal == bool(test) == (res.canonical == a)
+            assert test.aut_order == (res.aut_order if test else None)
+
+    def test_unsorted_rows_fail_at_once(self):
+        rng = random.Random("unsorted")
+        samples = [Matrix(TRIO_C.n, TRIO_C.m, TRIO_C.p, TRIO_C.rows[::-1])]
+        while len(samples) < 300:
+            n, m, p = rng.randint(2, 6), rng.randint(1, 7), rng.randint(2, 4)
+            rows = tuple(tuple(rng.randrange(p) for _ in range(m)) for _ in range(n))
+            if list(rows) != sorted(rows):
+                samples.append(Matrix(n, m, p, rows))
+        for a in samples:
+            assert is_minimal(a, budget=0) == MinimalityResult(False, None, 0)
+
+    @given(matrices(max_n=6, max_m=7))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_exhaustive(self, a):
+        minimum = canonical_form(a).canonical
+        ascending = Matrix(a.n, a.m, a.p, tuple(sorted(a.rows)))
+        assert is_minimal(a).minimal == (a == minimum)
+        assert is_minimal(ascending).minimal == (ascending == minimum)
+        test = is_minimal(minimum)
+        assert test.minimal
+        assert test.aut_order == pruned_canonical_form(a).aut_order
+
+    @pytest.mark.parametrize("name", sorted(PINNED_NODES))
+    def test_symmetric_minimum_stays_cheap(self, name):
+        _, a, order = next(case for case in PINNED_AUT if case[0] == name)
+        minimum = pruned_canonical_form(a).canonical
+        nodes = self.PINNED_NODES[name]
+        test = is_minimal(minimum, budget=nodes)
+        assert (test.minimal, test.aut_order, test.nodes) == (True, order, nodes)
+        with pytest.raises(BudgetExceededError) as exc:
+            is_minimal(minimum, budget=nodes - 1)
+        assert exc.value.nodes == nodes
 
 
 class TestEquivalent:
