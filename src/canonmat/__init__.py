@@ -6,8 +6,8 @@ from .canonicity import (CanonicityReport, RowStats, condition5_transform,
 from .enumeration import (ClassCensus, burnside_count, census,
                           enumerate_canonical, orbit_size)
 from .equivalence import (CanonResult, MinimalityResult, Permutation,
-                          PermPair, apply, canonical_form, equivalent,
-                          is_minimal, pruned_canonical_form)
+                          PermPair, apply, equivalent, is_minimal,
+                          pruned_canonical_form)
 from .errors import (BudgetExceededError, DigitRangeError, IntegrityError,
                      ParseError)
 from .hadamard import (classify_hadamard, classify_weighing, is_hadamard,
@@ -20,7 +20,7 @@ __all__ = [
     "ColCode", "DigitRangeError", "IntegrityError", "Matrix",
     "MinimalityResult", "ParseError",
     "PermPair", "Permutation", "RowCode", "RowStats", "apply",
-    "burnside_count", "canonical_form", "census", "classify_hadamard",
+    "burnside_count", "census", "classify_hadamard",
     "classify_weighing", "condition5_transform", "decode_rows", "encode_cols",
     "encode_rows", "enumerate_canonical", "equivalent", "first_row_col_structure",
     "format_matrix", "is_canonical", "is_hadamard", "is_minimal",

@@ -9,8 +9,9 @@ conjunction of the six conditions, which is not an exact test of
 canonicity: of the shapes swept by the acceptance suite, it agrees with
 lex-minimality at all but 3x3 over p=3, where it accepts non-minimal
 matrices, and 4x4 over p=2, where it also rejects minimal ones (the
-counterexamples are listed under artifacts/).  Exact canonicity comes from
-canonical_form.
+counterexamples are listed under artifacts/).  Past the swept shapes it
+errs too: it rejects the 5x4 minimum 0000/0001/0010/0101/1101 over p=2.
+Exact canonicity comes from `is_minimal`.
 
 Notation used throughout: s = number of nonzero entries in the first row,
 t = number of rows equal to the first row.
@@ -147,7 +148,7 @@ def is_canonical(a: Matrix) -> CanonicityReport:
 
     All six are evaluated and reported; the verdict is the conjunction of
     the applicable ones.  It can disagree with lex-minimality (see the
-    module docstring); canonical_form is the exact test.  Conditions 5
+    module docstring); `is_minimal` is the exact test.  Conditions 5
     and 6 presuppose sorted rows and are marked n/a when condition 1 fails
     (the verdict is already negative).
     """

@@ -4,10 +4,11 @@ Commands: encode, check, canonize, enumerate.  The shorthands `count N M P`,
 `classify-hadamard N` and `classify-weighing N K` stand for
 `enumerate N M P --count-only`, `enumerate N N 3 --filter hadamard` and
 `enumerate N N 3 --filter weighing:K`, and run through the same handler:
-unfiltered counts go to `census`, every other enumeration to the first-row
-partition runner.  Exit codes, mapped from exception types in one table:
-0 success (verdicts are data, not failures), 2 parse error, 3 digit out of
-range, 4 budget exceeded, 5 integrity failure.  All output is
+unfiltered counts go to `census`, in one process, and every other
+enumeration to the first-row partition runner; the manifest's `workers` is
+the number of processes used.  Exit codes, mapped from exception types in
+one table: 0 success (verdicts are data, not failures), 2 parse error, 3
+digit out of range, 4 budget exceeded, 5 integrity failure.  All output is
 byte-deterministic for fixed inputs and budgets, including multi-worker
 enumeration.
 """
@@ -80,19 +81,20 @@ def _partition_worker(job):
     return texts, counters.get("nodes", 0)
 
 
-def _run_partitions(n, m, p, k, budget, workers, out, count_only):
+def _run_partitions(n, m, p, k, budget, workers, out, count_only, meta):
     """Enumerate canonical matrices, partitioned by first row; (count, nodes).
 
     Partitions are consumed in first-row order, so the byte stream is
     identical for any worker count, and each is written as soon as it and
     every earlier one are done.  The pool has at most one process per
-    partition.  The node budget is charged cumulatively at partition
-    boundaries (and each partition is individually capped).
+    partition, and `meta["workers"]` records its size.  The node budget is
+    charged cumulatively at partition boundaries (and each partition is
+    individually capped).
     """
     row_filter = None if k is None else hm.weighing_filters(k)[1]
     jobs = [(n, m, p, f, k, budget) for f in structured_first_rows(m, p)
             if row_filter is None or row_filter(f)]
-    workers = min(workers, len(jobs))
+    workers = meta["workers"] = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return _write_partitions(pool.map(_partition_worker, jobs), budget,
@@ -120,7 +122,7 @@ def _write_partitions(results, budget, out, count_only):
 # Shorthand commands: name, help, positional arguments, and the enumerate
 # arguments (m, p, --filter, --count-only) each stands for.
 SHORTHANDS = (
-    ("count", "class count with Burnside cross-check", ("n", "m", "p"),
+    ("count", "class count checked by Burnside and orbit sizes", ("n", "m", "p"),
      lambda a: (a.m, a.p, None, True)),
     ("classify-hadamard", "canonical Hadamard matrices of order n", ("n",),
      lambda a: (a.n, 3, "hadamard", False)),
@@ -169,6 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(args, out, meta: dict) -> str:
     """Execute one command, filling in the manifest fields; returns the result."""
+    if args.budget < 0:
+        raise ParseError(f"--budget must be at least 0, got {args.budget}")
     if args.command == "encode":
         a, digest = _read_matrix(args.file)
         meta.update(shape=[a.n, a.m, a.p], input_digest=digest)
@@ -203,7 +207,6 @@ def _run(args, out, meta: dict) -> str:
     meta["shape"] = _shape(args.n, args.m, args.p)
     if args.workers < 1:
         raise ParseError(f"--workers must be at least 1, got {args.workers}")
-    meta["workers"] = args.workers
     k = header = None
     if args.filter:
         if args.n != args.m or args.p != 3:
@@ -222,7 +225,7 @@ def _run(args, out, meta: dict) -> str:
     if header and not args.count_only:
         out.write(header + "\n")
     count, meta["nodes"] = _run_partitions(args.n, args.m, args.p, k, args.budget,
-                                           args.workers, out, args.count_only)
+                                           args.workers, out, args.count_only, meta)
     return f"count={count}"
 
 

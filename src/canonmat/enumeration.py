@@ -13,9 +13,12 @@ admits non-minimal matrices (e.g. at 3x3 over p=3) and rejects some minima
 matrix set.  Emission order is strictly ascending in the row code, so
 streams are deterministic.
 
-The Burnside count (orbits of S_n x S_m on the full matrix set, via the
-cycle index) is computed by entirely different means and serves as an
-independent check on enumerated class counts.
+Two oracles check every census.  The Burnside count (orbits of S_n x S_m
+on the full matrix set, via the cycle index) is computed by entirely
+different means.  The orbit sizes n! * m! / |Aut| of the emitted classes,
+free from the leaf tests, must add up to all p^(n*m) matrices: the
+orbit-stabilizer double count of Kaski and Östergård, *Classification
+Algorithms for Codes and Designs* (2006), ch. 10.
 """
 
 from __future__ import annotations
@@ -68,23 +71,22 @@ def enumerate_canonical(n: int, m: int, p: int,
     to prune, so it has to be invariant under the equivalence); e.g. "no
     zero entries" for Hadamard candidates.  `budget` caps the nodes: partial
     rows placed plus the search nodes of every leaf test.  `counters`, when
-    passed, gets their running total as its "nodes" entry.  `first_rows`
-    restricts the search to the given first-row choices (used to partition
-    the tree among workers); it must be a subset of structured_first_rows.
+    passed, gets running totals: "nodes", "emitted" classes, and "orbits",
+    the sum of their class sizes n! * m! / |Aut|.  `first_rows` restricts
+    the search to the given first-row choices (used to partition the tree
+    among workers); it must be a subset of structured_first_rows.
     """
     if n < 1 or m < 1 or p < 2:
         raise ValueError(f"invalid shape/base n={n} m={m} p={p}")
     all_rows = sorted(itertools.product(range(p), repeat=m))
     if row_filter is not None:
         all_rows = [r for r in all_rows if row_filter(r)]
-    state = {"nodes": 0, "emitted": 0}
-    if counters is not None:
-        counters["nodes"] = 0
+    group_order = math.factorial(n) * math.factorial(m)
+    state = {} if counters is None else counters
+    state.update(nodes=0, emitted=0, orbits=0)
 
     def charge(amount=1):
         state["nodes"] += amount
-        if counters is not None:
-            counters["nodes"] = state["nodes"]
         if budget is not None and state["nodes"] > budget:
             raise BudgetExceededError(
                 f"node budget {budget} exceeded",
@@ -104,6 +106,7 @@ def enumerate_canonical(n: int, m: int, p: int,
             charge(test.nodes)
             if test.minimal:
                 state["emitted"] += 1
+                state["orbits"] += group_order // test.aut_order
                 yield cand
             return
         last = prefix[-1]
@@ -168,25 +171,26 @@ def burnside_count(n: int, m: int, p: int) -> int:
     return total // order
 
 
-def census(n: int, m: int, p: int, stream: bool = False,
+def census(n: int, m: int, p: int,
            budget: int | None = DEFAULT_BUDGET) -> ClassCensus:
-    """Enumerated class count cross-checked against the Burnside oracle.
+    """Every class of a shape, its count checked against both oracles.
 
-    Raises IntegrityError (carrying both counts) on disagreement.  The
-    Burnside count comes first, so a shape past its guard fails before any
-    enumeration.
+    Raises IntegrityError (carrying the enumerated and Burnside counts)
+    unless the count equals the Burnside count and the class sizes add up
+    to p^(n*m).  The Burnside count comes first, so a shape past its guard
+    fails before any enumeration.
     """
     expected = burnside_count(n, m, p)
     counters: dict = {}
     reps = list(enumerate_canonical(n, m, p, budget=budget, counters=counters))
-    result = ClassCensus(shape=(n, m, p), count=len(reps), burnside=expected,
-                         representatives=reps if stream else None,
-                         nodes=counters.get("nodes", 0))
-    if not result.agree:
+    total = p**(n * m)
+    if len(reps) != expected or counters["orbits"] != total:
         raise IntegrityError(
-            f"census disagreement at {(n, m, p)}: enumerated {result.count}, "
-            f"burnside {expected}", enumerated=result.count, expected=expected)
-    return result
+            f"census disagreement at {(n, m, p)}: enumerated {len(reps)} classes, "
+            f"burnside {expected}; their sizes sum to {counters['orbits']} "
+            f"of {total} matrices", enumerated=len(reps), expected=expected)
+    return ClassCensus(shape=(n, m, p), count=len(reps), burnside=expected,
+                       representatives=reps, nodes=counters["nodes"])
 
 
 def orbit_size(a: Matrix) -> int:

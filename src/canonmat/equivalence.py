@@ -21,22 +21,16 @@ incumbent from the root, so the first prefix below them ends the search
 with "not minimal", and every leaf reached equals the candidate (after the
 "is canonical?" tests of Kaski and Östergård, *Classification Algorithms
 for Codes and Designs*, 2006).
-
-`canonical_form` tries all m! column orders, taking ascending row sort as
-the optimal row order for each; it is the exhaustive test oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
 from .matrices import Matrix
-
-EXHAUSTIVE_COLS_GUARD = 10
 
 
 @dataclass(frozen=True)
@@ -94,7 +88,7 @@ class CanonResult:
     """The class minimum and a witness pair taking the input to it.
 
     `aut_order` is |Aut|, the number of pairs that fix the input, and
-    `nodes` the search nodes spent; the exhaustive oracle leaves them unset.
+    `nodes` the search nodes spent; an exhaustive oracle may leave them unset.
     """
 
     canonical: Matrix
@@ -132,39 +126,11 @@ def _witness(order, sigma) -> PermPair:
     return PermPair(Permutation(tuple(row_images)), Permutation(tuple(col_images)))
 
 
-def canonical_form(a: Matrix, max_cols: int = EXHAUSTIVE_COLS_GUARD) -> CanonResult:
-    """Exhaustive minimum of the row code over the equivalence class.
-
-    The test oracle for pruned_canonical_form.  Loops over all m! column
-    orders; for each, ascending row sort is the optimal row order.  Guarded
-    by `max_cols`.
-    """
-    if a.m > max_cols:
-        raise BudgetExceededError(
-            f"m={a.m} exceeds the factorial guard ({max_cols}); "
-            "use pruned_canonical_form")
-    rows = a.rows
-    n = a.n
-    best = None
-    best_order = None
-    best_sigma = None
-    for sigma in itertools.permutations(range(a.m)):
-        permuted = [tuple(row[j] for j in sigma) for row in rows]
-        order = sorted(range(n), key=permuted.__getitem__)
-        cand = tuple(permuted[i] for i in order)
-        if best is None or cand < best:
-            best = cand
-            best_order = order
-            best_sigma = sigma
-    canonical = Matrix(n=a.n, m=a.m, p=a.p, rows=best)
-    return CanonResult(canonical=canonical, witness=_witness(best_order, best_sigma))
-
-
 def pruned_canonical_form(a: Matrix, budget: int | None = None) -> CanonResult:
     """Class minimum with witness and |Aut| by row-choice partition search.
 
-    Same canonical form and witness contract as canonical_form, for any
-    width.  Each search node is charged against `budget`; running out
+    `apply(a, result.witness) == result.canonical`, the least row code in
+    the class of `a`, for any width.  Each search node is charged against `budget`; running out
     raises BudgetExceededError carrying the node count.
     """
     search, sources, _ = _search(a, budget)

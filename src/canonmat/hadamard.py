@@ -11,7 +11,7 @@ counts differ from the negation-equivalence literature.
 
 from __future__ import annotations
 
-from .enumeration import ClassCensus, enumerate_canonical
+from .enumeration import DEFAULT_BUDGET, ClassCensus, enumerate_canonical
 from .matrices import Matrix
 
 
@@ -56,20 +56,23 @@ def weighing_filters(k: int):
     return predicate, row_filter
 
 
-def classify_weighing(n: int, k: int, budget: int | None = None) -> ClassCensus:
+def classify_weighing(n: int, k: int,
+                      budget: int | None = DEFAULT_BUDGET) -> ClassCensus:
     """Canonical representatives of the weight-k weighing matrices of order n.
 
-    Empty census (no error) at orders where none exist.
+    Empty census (no error) at orders where none exist.  `budget` as for
+    enumerate_canonical (None is unlimited); `nodes` is the total it caps.
     """
     if not (1 <= k <= n):
         raise ValueError(f"weight k={k} outside [1, {n}]")
     predicate, row_filter = weighing_filters(k)
-    kwargs = {} if budget is None else {"budget": budget}
-    reps = list(enumerate_canonical(n, n, 3, predicate=predicate,
-                                    row_filter=row_filter, **kwargs))
-    return ClassCensus(shape=(n, n, 3), count=len(reps), representatives=reps)
+    counters: dict = {}
+    reps = list(enumerate_canonical(n, n, 3, predicate=predicate, row_filter=row_filter,
+                                    budget=budget, counters=counters))
+    return ClassCensus(shape=(n, n, 3), count=len(reps), representatives=reps,
+                       nodes=counters["nodes"])
 
 
-def classify_hadamard(n: int, budget: int | None = None) -> ClassCensus:
+def classify_hadamard(n: int, budget: int | None = DEFAULT_BUDGET) -> ClassCensus:
     """Canonical representatives of the n x n Hadamard matrices."""
     return classify_weighing(n, n, budget)

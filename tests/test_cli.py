@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from canonmat import Matrix, apply, cli, enumeration, format_matrix, parse_matrix
+from canonmat import (Matrix, apply, classify_hadamard, cli, enumeration,
+                      format_matrix, parse_matrix)
 from canonmat.cli import main
 from canonmat.equivalence import PermPair, Permutation
 from conftest import DEMO_34, TRIO_A, TRIO_B, TRIO_C
@@ -232,8 +233,10 @@ class TestExitCodes:
     def test_range_error(self, tmp_path):
         assert run("encode", write(tmp_path, "bad.txt", "2 2 2\n0 2\n1 0\n"))[0] == 3
 
-    def test_budget_error(self):
+    def test_budget_error(self, tmp_path):
         assert run("--budget", "3", "enumerate", "3", "3", "2", "--count-only")[0] == 4
+        # zero is a budget, not a malformed one (a negative budget exits 2)
+        assert run("--budget", "0", "canonize", write(tmp_path, "a.txt", TRIO_A)) == (4, "")
 
     def test_bad_filter_spec(self):
         assert run("enumerate", "2", "2", "3", "--filter", "bogus")[0] == 2
@@ -274,6 +277,7 @@ BAD_INPUTS = [
     (["enumerate", "3", "3", "3", "--filter", "weighing:5", "--count-only"], None, 2),
     (["check", "FILE"], b"1 2 2\n0 1\n9 9 9\n", 2),
     (["enumerate", "2", "2", "2", "--workers", "0"], None, 2),
+    (["--budget", "-1", "canonize", "FILE"], b"2 2 2\n0 1\n1 0\n", 2),
 ]
 
 
@@ -311,6 +315,22 @@ class TestManifest:
             assert run("--manifest", path, *argv)[0] == 0
             nodes.append(json.loads(open(path).read())["nodes"])
         assert nodes[0] == nodes[1] > 0
+
+    def test_classify_library_nodes_match_cli(self, tmp_path):
+        path = str(tmp_path / "m.json")
+        assert run("--manifest", path, "classify-hadamard", "4")[0] == 0
+        nodes = json.loads(open(path).read())["nodes"]
+        assert classify_hadamard(4).nodes == nodes == 2695
+
+    def test_records_processes_used(self, tmp_path):
+        path = str(tmp_path / "m.json")
+        # unfiltered counts run census in one process, whatever --workers says
+        assert run("--manifest", path, "enumerate", "3", "3", "2", "--count-only",
+                   "--workers", "2") == (0, "count=36 burnside=36 agree=true\n")
+        assert json.loads(open(path).read())["workers"] == 1
+        # a stream's pool has one process per partition at most: 1 x 1 over p=2 has 2
+        assert run("--manifest", path, "enumerate", "1", "1", "2", "--workers", "4")[0] == 0
+        assert json.loads(open(path).read())["workers"] == 2
 
     def test_count_nodes_include_leaf_tests(self, tmp_path):
         # 2,209 rows placed and 5,142 leaf-test nodes (tests/test_enumeration.py).

@@ -1,10 +1,14 @@
+import io
+
 import pytest
 from hypothesis import given, settings
 
-from canonmat import (BudgetExceededError, Matrix, burnside_count,
-                      canonical_form, census, enumeration,
-                      enumerate_canonical, orbit_size, pruned_canonical_form)
-from conftest import SWEEP_SHAPES, all_matrices, brute_orbit_size, matrices
+from canonmat import (BudgetExceededError, IntegrityError, Matrix,
+                      MinimalityResult, burnside_count, census, cli,
+                      enumeration, enumerate_canonical, orbit_size,
+                      pruned_canonical_form)
+from conftest import (SWEEP_SHAPES, all_matrices, brute_orbit_size,
+                      canonical_form, matrices)
 
 
 class TestBurnside:
@@ -136,13 +140,37 @@ class TestCensus:
         assert sum(leaf_nodes) == leaf_tests
         assert result.nodes == placed + leaf_tests
 
+    def test_orbit_sums_come_from_the_leaf_tests(self):
+        counters = {}
+        reps = list(enumerate_canonical(3, 3, 2, counters=counters))
+        assert counters["emitted"] == len(reps) == 36
+        assert counters["orbits"] == sum(orbit_size(r) for r in reps) == 2**9
+
+    def test_wrong_orbit_size_fails_the_census(self, monkeypatch):
+        # One class reports |Aut| = 1 instead of 3! * 3!: the class count
+        # still matches Burnside, but the class sizes overshoot 2^9.
+        real = enumeration.is_minimal
+        zero = ((0, 0, 0),) * 3
+
+        def lying(a, budget=None):
+            result = real(a, budget=budget)
+            return MinimalityResult(True, 1, result.nodes) if a.rows == zero else result
+
+        monkeypatch.setattr(enumeration, "is_minimal", lying)
+        with pytest.raises(IntegrityError) as exc:
+            census(3, 3, 2)
+        assert (exc.value.enumerated, exc.value.expected) == (36, 36)
+        out = io.StringIO()
+        assert cli.main(["count", "3", "3", "2"], out=out) == 5
+        assert out.getvalue() == "count=36 burnside=36 agree=false\n"
+
     def test_stream_mode(self):
-        result = census(2, 2, 2, stream=True)
+        result = census(2, 2, 2)
         assert len(result.representatives) == 7
 
     def test_orbit_sizes_partition_everything(self):
         for n, m, p in SWEEP_SHAPES + [(4, 3, 3)]:
-            reps = census(n, m, p, stream=True).representatives
+            reps = census(n, m, p).representatives
             assert sum(orbit_size(r) for r in reps) == p**(n * m), (n, m, p)
 
 

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canonmat import (BudgetExceededError, Matrix, MinimalityResult,
-                      PermPair, Permutation, apply, canonical_form,
-                      equivalent, is_minimal, pruned_canonical_form)
-from conftest import (SWEEP_SHAPES, TRIO_C, all_matrices, matrices,
-                      naive_minimum)
+                      PermPair, Permutation, apply, equivalent, is_minimal,
+                      pruned_canonical_form)
+from conftest import (SWEEP_SHAPES, TRIO_C, all_matrices, canonical_form,
+                      matrices, naive_minimum)
 
 
 def identity_matrix(n):

@@ -6,12 +6,15 @@ a naive all-arrangements oracle) found divergence starting at 3x3 over
 base 3 and 4x4 over base 2.  These tests pin two known counterexamples so
 the behavior of the checker is documented, and tie them to artifacts/,
 where the acceptance suite's theorem/oracle criterion pins the whole
-disagreement set at each affected shape exactly.
+disagreement set at each affected shape exactly.  A third, at 5x4 over
+base 2, shows the gap reaches past the swept shapes; it has no artifact
+file, since artifacts/ holds only swept shapes.
 """
 
-from canonmat import Matrix, canonical_form, is_canonical
-from conftest import (ARTIFACTS, SWEEP_SHAPES, counterexample_path,
-                      naive_minimum, read_counterexamples)
+from canonmat import Matrix, format_matrix, is_canonical
+from canonmat.cli import main
+from conftest import (ARTIFACTS, SWEEP_SHAPES, canonical_form,
+                      counterexample_path, naive_minimum, read_counterexamples)
 
 # Satisfies all six conditions but is not the class minimum: swapping the
 # first two columns and re-sorting the rows yields a smaller row code, a
@@ -23,6 +26,11 @@ FALSE_POSITIVE = Matrix.from_rows([(0, 0, 1), (0, 1, 2), (1, 0, 1)], 3)
 # its own, so the checker rejects it.
 FALSE_NEGATIVE = Matrix.from_rows(
     [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 1), (0, 1, 0, 1)], 2)
+
+# Lex-minimal at 5x4 over p=2, a shape the acceptance sweep never visits,
+# and rejected by condition 6 all the same: the gap reaches past the sweep.
+UNSWEPT_MINIMUM = Matrix.from_rows(
+    [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 1), (1, 1, 0, 1)], 2)
 
 
 def test_conditions_admit_a_nonminimal_matrix():
@@ -43,6 +51,19 @@ def test_conditions_reject_a_true_minimum():
     # the submatrix the checker recursed into really is non-minimal
     sub = report.failing_submatrix
     assert canonical_form(sub).canonical != sub
+
+
+def test_conditions_reject_a_minimum_past_the_sweep(tmp_path, capsys):
+    a = UNSWEPT_MINIMUM
+    assert (a.n, a.m, a.p) not in SWEEP_SHAPES
+    report = is_canonical(a)
+    assert not report.verdict, "checker behavior changed: update the pinned case"
+    assert report.conditions[5].status == "fail"
+    assert naive_minimum(a) == a.rows
+    path = tmp_path / "unswept.txt"
+    path.write_text(format_matrix(a))
+    assert main(["canonize", str(path)]) == 0
+    assert capsys.readouterr().out == format_matrix(a)
 
 
 def test_pinned_cases_are_in_the_artifacts():
