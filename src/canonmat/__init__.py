@@ -4,14 +4,14 @@ from .canonicity import (CanonicityReport, RowStats, condition5_transform,
                          first_row_col_structure, is_canonical,
                          is_semi_canonical, row_stats)
 from .enumeration import (ClassCensus, burnside_count, census,
+                          classify_hadamard, classify_weighing,
                           enumerate_canonical, orbit_size)
 from .equivalence import (CanonResult, MinimalityResult, Permutation,
                           PermPair, apply, equivalent, is_minimal,
                           pruned_canonical_form)
 from .errors import (BudgetExceededError, DigitRangeError, IntegrityError,
                      ParseError)
-from .hadamard import (classify_hadamard, classify_weighing, is_hadamard,
-                       is_weighing, sign_view)
+from .hadamard import is_hadamard, is_weighing, sign_view
 from .matrices import (ColCode, Matrix, RowCode, decode_rows, encode_cols,
                        encode_rows, format_matrix, lex_compare, parse_matrix)
 

@@ -14,7 +14,10 @@ errs too: it rejects the 5x4 minimum 0000/0001/0010/0101/1101 over p=2.
 Exact canonicity comes from `is_minimal`.
 
 Notation used throughout: s = number of nonzero entries in the first row,
-t = number of rows equal to the first row.
+t = number of rows equal to the first row (`row_stats(a).zeta[0]`), as in
+`is_canonical` and `condition5_transform`.  One function counts something
+else: `first_row_col_structure` returns (s, z), with z = the leading zeros
+of the first column.  On 001/011 it returns (1, 2), while t = 1.
 """
 
 from __future__ import annotations
@@ -74,11 +77,13 @@ def is_semi_canonical(a: Matrix) -> bool:
 
 
 def first_row_col_structure(a: Matrix) -> tuple[int, int]:
-    """(s, t) for a semi-canonical matrix.
+    """(s, z) for a semi-canonical matrix.
 
-    s counts the trailing nonzero entries of the first row, t the leading
-    zeros of the first column.  Verifies the guaranteed shape: zeros, then
-    nondecreasing nonzero digits, in both the first row and first column.
+    s counts the trailing nonzero entries of the first row, z the leading
+    zeros of the first column.  z is not the module's t (rows equal to the
+    first row): on 001/011 this returns (1, 2), where t = 1.  Verifies the
+    guaranteed shape: zeros, then nondecreasing nonzero digits, in both the
+    first row and first column.
     """
     if not is_semi_canonical(a):
         raise ValueError("first_row_col_structure requires a semi-canonical matrix")

@@ -16,16 +16,14 @@ enumeration.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from . import hadamard as hm
 from .canonicity import is_canonical, is_semi_canonical
-from .enumeration import (DEFAULT_BUDGET, census, enumerate_canonical,
-                          structured_first_rows)
+from .enumeration import (DEFAULT_BUDGET, canonical_first_rows, census,
+                          enumerate_canonical)
 from .equivalence import apply, pruned_canonical_form
 from .errors import (BudgetExceededError, DigitRangeError, IntegrityError,
                      ParseError)
@@ -33,6 +31,8 @@ from .matrices import (encode_cols, encode_rows, format_matrix, parse_matrix)
 
 
 def _read_matrix(path: str):
+    import hashlib  # only files are hashed; enumerate and count never load it
+
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -73,11 +73,9 @@ def _parse_filter(spec: str, n: int) -> tuple[int, str]:
 def _partition_worker(job):
     """Enumerate one first-row partition; returns (formatted blocks, nodes)."""
     n, m, p, first, k, budget = job
-    predicate, row_filter = (None, None) if k is None else hm.weighing_filters(k)
     counters: dict = {}
     texts = [format_matrix(a) for a in enumerate_canonical(
-        n, m, p, predicate=predicate, row_filter=row_filter,
-        budget=budget, counters=counters, first_rows=[first])]
+        n, m, p, weight=k, budget=budget, counters=counters, first_rows=[first])]
     return texts, counters.get("nodes", 0)
 
 
@@ -91,9 +89,7 @@ def _run_partitions(n, m, p, k, budget, workers, out, count_only, meta):
     charged cumulatively at partition boundaries (and each partition is
     individually capped).
     """
-    row_filter = None if k is None else hm.weighing_filters(k)[1]
-    jobs = [(n, m, p, f, k, budget) for f in structured_first_rows(m, p)
-            if row_filter is None or row_filter(f)]
+    jobs = [(n, m, p, f, k, budget) for f in canonical_first_rows(m, p, k)]
     workers = meta["workers"] = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -103,18 +99,27 @@ def _run_partitions(n, m, p, k, budget, workers, out, count_only, meta):
 
 
 def _write_partitions(results, budget, out, count_only):
-    """Write (or only count) partition results in order as they arrive."""
+    """Write (or only count) partition results in order as they arrive.
+
+    A budget overrun, inside a partition or at a boundary, reports the nodes
+    and classes of the finished partitions plus those of the one that overran.
+    """
     count = 0
     nodes = 0
-    for texts, part_nodes in results:
-        nodes += part_nodes
-        if budget is not None and nodes > budget:
-            raise BudgetExceededError(f"node budget {budget} exceeded",
-                                      nodes=nodes, partial_count=count)
-        for text in texts:
-            if not count_only:
-                out.write("\n" + text if count else text)
-            count += 1
+    try:
+        for texts, part_nodes in results:
+            if budget is not None and nodes + part_nodes > budget:
+                raise BudgetExceededError(f"node budget {budget} exceeded",
+                                          nodes=part_nodes)
+            nodes += part_nodes
+            for text in texts:
+                if not count_only:
+                    out.write("\n" + text if count else text)
+                count += 1
+    except BudgetExceededError as exc:
+        exc.nodes += nodes
+        exc.partial_count += count
+        raise
     out.write(f"count={count}\n" if count_only else f"# count={count}\n")
     return count, nodes
 

@@ -1,4 +1,5 @@
-"""Isomorph-free generation of canonical matrices and orbit-count oracles.
+"""Isomorph-free generation of canonical matrices, the weighing-matrix
+classifications built on it, and orbit-count oracles.
 
 Generation is a depth-first search over row codes: the first row must have
 the zeros-then-nondecreasing-nonzeros shape every canonical matrix starts
@@ -26,8 +27,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
+from . import hadamard
 from .equivalence import is_minimal, pruned_canonical_form
 from .errors import BudgetExceededError, IntegrityError
 from .matrices import Matrix
@@ -51,36 +53,41 @@ class ClassCensus:
         return self.burnside is None or self.count == self.burnside
 
 
-def structured_first_rows(m: int, p: int) -> Iterator[tuple[int, ...]]:
-    """First-row candidates: zeros, then a nondecreasing nonzero tail."""
-    for s in range(m + 1):
-        for tail in itertools.combinations_with_replacement(range(1, p), s):
-            yield (0,) * (m - s) + tail
+def canonical_first_rows(m: int, p: int,
+                         weight: int | None = None) -> Iterator[tuple[int, ...]]:
+    """First-row candidates, ascending: the nondecreasing rows (zeros, then a
+    nondecreasing nonzero tail), only those with `weight` nonzero entries
+    when it is given."""
+    for row in itertools.combinations_with_replacement(range(p), m):
+        if weight is None or m - row.count(0) == weight:
+            yield row
 
 
-def enumerate_canonical(n: int, m: int, p: int,
-                        predicate: Callable[[Matrix], bool] | None = None,
-                        row_filter: Callable[[tuple[int, ...]], bool] | None = None,
+def enumerate_canonical(n: int, m: int, p: int, weight: int | None = None,
                         budget: int | None = DEFAULT_BUDGET,
                         counters: dict | None = None,
                         first_rows=None) -> Iterator[Matrix]:
     """Yield every canonical n x m matrix over {0..p-1}, ascending by row code.
 
-    `predicate` filters completed canonical matrices.  `row_filter`, when
-    given, must hold for every row of every matrix of interest (it is used
-    to prune, so it has to be invariant under the equivalence); e.g. "no
-    zero entries" for Hadamard candidates.  `budget` caps the nodes: partial
-    rows placed plus the search nodes of every leaf test.  `counters`, when
-    passed, gets running totals: "nodes", "emitted" classes, and "orbits",
-    the sum of their class sizes n! * m! / |Aut|.  `first_rows` restricts
-    the search to the given first-row choices (used to partition the tree
-    among workers); it must be a subset of structured_first_rows.
+    `weight=k` keeps only the weight-k weighing matrices (n = m, p = 3): every
+    row has k nonzero entries, which prunes, and each complete candidate must
+    satisfy W W^T = k I (`hadamard.is_weighing`) before its leaf test.
+    `budget` caps the nodes: partial rows placed plus the search nodes of
+    every leaf test.  `counters`, when passed, gets running totals: "nodes",
+    "emitted" classes, and "orbits", the sum of their class sizes
+    n! * m! / |Aut|.  `first_rows` restricts the search to the given
+    first-row choices (used to partition the tree among workers); it must be
+    a subset of canonical_first_rows(m, p, weight).
     """
     if n < 1 or m < 1 or p < 2:
         raise ValueError(f"invalid shape/base n={n} m={m} p={p}")
-    all_rows = sorted(itertools.product(range(p), repeat=m))
-    if row_filter is not None:
-        all_rows = [r for r in all_rows if row_filter(r)]
+    if weight is not None:
+        if n != m or p != 3:
+            raise ValueError(f"weight needs an n x n shape over p=3, got {n}x{m} p={p}")
+        if not 1 <= weight <= n:
+            raise ValueError(f"weight k={weight} outside [1, {n}]")
+    all_rows = [r for r in itertools.product(range(p), repeat=m)
+                if weight is None or m - r.count(0) == weight]
     group_order = math.factorial(n) * math.factorial(m)
     state = {} if counters is None else counters
     state.update(nodes=0, emitted=0, orbits=0)
@@ -95,7 +102,7 @@ def enumerate_canonical(n: int, m: int, p: int,
     def extend(prefix: list[tuple[int, ...]], s: int) -> Iterator[Matrix]:
         if len(prefix) == n:
             cand = Matrix(n=n, m=m, p=p, rows=tuple(prefix))
-            if predicate is not None and not predicate(cand):
+            if weight is not None and not hadamard.is_weighing(cand, weight):
                 return
             left = None if budget is None else budget - state["nodes"]
             try:
@@ -120,9 +127,7 @@ def enumerate_canonical(n: int, m: int, p: int,
             yield from extend(prefix, s)
             prefix.pop()
 
-    for first in (structured_first_rows(m, p) if first_rows is None else first_rows):
-        if row_filter is not None and not row_filter(first):
-            continue
+    for first in (canonical_first_rows(m, p, weight) if first_rows is None else first_rows):
         charge()
         s = sum(1 for e in first if e != 0)
         yield from extend([first], s)
@@ -196,3 +201,21 @@ def census(n: int, m: int, p: int,
 def orbit_size(a: Matrix) -> int:
     """|class of a| = n! * m! / |Aut(a)|, with |Aut| from the canonical search."""
     return math.factorial(a.n) * math.factorial(a.m) // pruned_canonical_form(a).aut_order
+
+
+def classify_weighing(n: int, k: int,
+                      budget: int | None = DEFAULT_BUDGET) -> ClassCensus:
+    """Canonical representatives of the weight-k weighing matrices of order n.
+
+    Empty census (no error) at orders where none exist.  `budget` as for
+    enumerate_canonical (None is unlimited); `nodes` is the total it caps.
+    """
+    counters: dict = {}
+    reps = list(enumerate_canonical(n, n, 3, weight=k, budget=budget, counters=counters))
+    return ClassCensus(shape=(n, n, 3), count=len(reps), representatives=reps,
+                       nodes=counters["nodes"])
+
+
+def classify_hadamard(n: int, budget: int | None = DEFAULT_BUDGET) -> ClassCensus:
+    """Canonical representatives of the n x n Hadamard matrices."""
+    return classify_weighing(n, n, budget)

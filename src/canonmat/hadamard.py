@@ -1,17 +1,16 @@
 """Hadamard and weighing-matrix predicates over the base-3 digit encoding.
 
 Digits {0, 1, 2} stand for {0, 1, -1}; the predicates check the integer
-Gram identity W W^T = k I on that sign view.  Classification enumerates
-canonical base-3 matrices with a row-count pruning filter (every row of a
-weight-k matrix has exactly k nonzero entries) and keeps those passing the
-predicate.  A Hadamard matrix of order n is a weighing matrix of weight n.
-Equivalence here is permutation-only: no row or column negations, so class
-counts differ from the negation-equivalence literature.
+Gram identity W W^T = k I on that sign view.  A Hadamard matrix of order n
+is a weighing matrix of weight n.  Classification is
+`enumerate_canonical(n, n, 3, weight=k)`, which calls `is_weighing` on each
+complete candidate; see `enumeration.classify_weighing`.  Equivalence there
+is permutation-only: no row or column negations, so class counts differ
+from the negation-equivalence literature.
 """
 
 from __future__ import annotations
 
-from .enumeration import DEFAULT_BUDGET, ClassCensus, enumerate_canonical
 from .matrices import Matrix
 
 
@@ -40,39 +39,3 @@ def is_weighing(a: Matrix, k: int) -> bool:
 def is_hadamard(a: Matrix) -> bool:
     """Weight n: the diagonal of W W^T = n I leaves no zero entry."""
     return is_weighing(a, a.n)
-
-
-def weighing_filters(k: int):
-    """(leaf predicate, row filter) that enumerate the weight-k matrices.
-
-    The predicate looks up `is_weighing` at each call, once per leaf.
-    """
-    def predicate(a: Matrix) -> bool:
-        return is_weighing(a, k)
-
-    def row_filter(row: tuple[int, ...]) -> bool:
-        return sum(1 for e in row if e != 0) == k
-
-    return predicate, row_filter
-
-
-def classify_weighing(n: int, k: int,
-                      budget: int | None = DEFAULT_BUDGET) -> ClassCensus:
-    """Canonical representatives of the weight-k weighing matrices of order n.
-
-    Empty census (no error) at orders where none exist.  `budget` as for
-    enumerate_canonical (None is unlimited); `nodes` is the total it caps.
-    """
-    if not (1 <= k <= n):
-        raise ValueError(f"weight k={k} outside [1, {n}]")
-    predicate, row_filter = weighing_filters(k)
-    counters: dict = {}
-    reps = list(enumerate_canonical(n, n, 3, predicate=predicate, row_filter=row_filter,
-                                    budget=budget, counters=counters))
-    return ClassCensus(shape=(n, n, 3), count=len(reps), representatives=reps,
-                       nodes=counters["nodes"])
-
-
-def classify_hadamard(n: int, budget: int | None = DEFAULT_BUDGET) -> ClassCensus:
-    """Canonical representatives of the n x n Hadamard matrices."""
-    return classify_weighing(n, n, budget)

@@ -1,11 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from canonmat import (Matrix, apply, classify_hadamard, cli, enumeration,
                       format_matrix, parse_matrix)
 from canonmat.cli import main
+from canonmat.enumeration import canonical_first_rows
 from canonmat.equivalence import PermPair, Permutation
 from conftest import DEMO_34, TRIO_A, TRIO_B, TRIO_C
 
@@ -177,6 +181,18 @@ class TestEnumerateAndCount:
             assert run("enumerate", "1", "1", "2", "--workers", workers) == serial
         assert sizes == [2, 2, 2]
 
+    def test_weighing_partitions_are_canonical_first_rows(self, monkeypatch):
+        firsts = []
+
+        def recording_worker(job):
+            firsts.append(job[3])
+            return [], 0
+
+        monkeypatch.setattr(cli, "_partition_worker", recording_worker)
+        assert run("enumerate", "5", "5", "3", "--filter", "weighing:2")[0] == 0
+        assert firsts == list(canonical_first_rows(5, 3, 2))
+        assert firsts == [(0, 0, 0, 1, 1), (0, 0, 0, 1, 2), (0, 0, 0, 2, 2)]
+
     def test_workers_byte_identical(self):
         _, serial = run("enumerate", "3", "3", "2", "--workers", "1")
         _, parallel = run("enumerate", "3", "3", "2", "--workers", "4")
@@ -344,9 +360,27 @@ class TestManifest:
                    "2", "--count-only") == (4, "")
         assert json.loads(open(path).read())["nodes"] == nodes
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_budget_overrun_inside_partition_keeps_finished_nodes(self, tmp_path, workers):
+        # partition 000 finishes with 14,188 nodes; 001 overruns at 14,888 of its own
+        path = str(tmp_path / "m.json")
+        assert run("--manifest", path, "--budget", "14887", "enumerate", "4", "3", "3",
+                   "--workers", workers)[0] == 4
+        assert json.loads(open(path).read())["nodes"] == 14188 + 14888
+
     def test_records_nodes(self, tmp_path):
         path = str(tmp_path / "m.json")
         assert run("--manifest", path, "count", "2", "2", "2")[0] == 0
         manifest = json.loads(open(path).read())
         assert manifest["nodes"] > 0
         assert manifest["result"] == "count=7"
+
+
+def test_counting_never_loads_hashlib():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    script = ("import sys\nfrom canonmat.cli import main\n"
+              "main(['count', '2', '2', '3'])\nprint('_hashlib' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "count=27 burnside=27 agree=true\nFalse\n"

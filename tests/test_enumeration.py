@@ -1,12 +1,14 @@
 import io
+import itertools
 
 import pytest
 from hypothesis import given, settings
 
 from canonmat import (BudgetExceededError, IntegrityError, Matrix,
                       MinimalityResult, burnside_count, census, cli,
-                      enumeration, enumerate_canonical, orbit_size,
-                      pruned_canonical_form)
+                      enumeration, enumerate_canonical, is_weighing,
+                      orbit_size, pruned_canonical_form)
+from canonmat.enumeration import canonical_first_rows
 from conftest import (SWEEP_SHAPES, all_matrices, brute_orbit_size,
                       canonical_form, matrices)
 
@@ -54,9 +56,24 @@ class TestEnumerate:
         assert {r.rows for r in reps} == expected
 
     def test_filter_predicate(self):
-        only_zero_free = list(enumerate_canonical(
-            2, 2, 2, predicate=lambda a: all(e for row in a.rows for e in row)))
-        assert [r.rows for r in only_zero_free] == [((1, 1), (1, 1))]
+        weight_two = list(enumerate_canonical(2, 2, 3, weight=2))
+        expected = {canonical_form(a).canonical.rows for a in all_matrices(2, 2, 3)
+                    if is_weighing(a, 2)}
+        assert [r.rows for r in weight_two] == sorted(expected)
+        assert [r.rows for r in weight_two] == [((1, 1), (1, 2)), ((1, 2), (2, 2))]
+
+    @pytest.mark.parametrize("shape,weight", [((2, 3, 3), 1), ((3, 3, 2), 1),
+                                              ((3, 3, 5), 1), ((3, 3, 3), 0),
+                                              ((3, 3, 3), 4)])
+    def test_weight_rejects_bad_shape_or_range(self, shape, weight):
+        with pytest.raises(ValueError):
+            list(enumerate_canonical(*shape, weight=weight))
+
+    @pytest.mark.parametrize("m,p", [(1, 5), (3, 3), (4, 2), (5, 3)])
+    def test_first_rows_are_zeros_then_nondecreasing(self, m, p):
+        spelled_out = [(0,) * (m - s) + tail for s in range(m + 1)
+                       for tail in itertools.combinations_with_replacement(range(1, p), s)]
+        assert list(canonical_first_rows(m, p)) == spelled_out
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceededError) as exc:
