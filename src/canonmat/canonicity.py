@@ -22,7 +22,8 @@ of the first column.  On 001/011 it returns (1, 2), while t = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import le
 
 from .matrices import Matrix
 
@@ -70,10 +71,10 @@ def row_stats(a: Matrix) -> RowStats:
 def is_semi_canonical(a: Matrix) -> bool:
     """Both the row code and the column code are nondecreasing."""
     rows = a.rows
-    if any(rows[i] > rows[i + 1] for i in range(a.n - 1)):
+    if not all(map(le, rows, rows[1:])):
         return False
     cols = a.columns()
-    return all(cols[j] <= cols[j + 1] for j in range(a.m - 1))
+    return all(map(le, cols, cols[1:]))
 
 
 def first_row_col_structure(a: Matrix) -> tuple[int, int]:

@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .canonicity import is_canonical, is_semi_canonical
 from .enumeration import (DEFAULT_BUDGET, canonical_first_rows, census,
@@ -92,6 +91,9 @@ def _run_partitions(n, m, p, k, budget, workers, out, count_only, meta):
     jobs = [(n, m, p, f, k, budget) for f in canonical_first_rows(m, p, k)]
     workers = meta["workers"] = min(workers, len(jobs))
     if workers > 1:
+        # Only a pool loads multiprocessing; counts and single files never do.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return _write_partitions(pool.map(_partition_worker, jobs), budget,
                                      out, count_only)

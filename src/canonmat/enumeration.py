@@ -6,7 +6,8 @@ the zeros-then-nondecreasing-nonzeros shape every canonical matrix starts
 with, each later row is >= its predecessor and carries at least as many
 nonzero entries as the first (all provably necessary for minimality), and
 completed candidates are kept iff `is_minimal` holds: the engine's
-early-exit mode, which stops at the first arrangement below the candidate.
+early-exit mode, which rejects a candidate that is not semi-canonical with
+no search and otherwise stops at the first arrangement below the candidate.
 Its search nodes count in the enumerator's node total and budget.
 The six-condition structural check is deliberately NOT the leaf filter: it
 admits non-minimal matrices (e.g. at 3x3 over p=3) and rejects some minima
@@ -67,7 +68,7 @@ def enumerate_canonical(n: int, m: int, p: int, weight: int | None = None,
                         budget: int | None = DEFAULT_BUDGET,
                         counters: dict | None = None,
                         first_rows=None) -> Iterator[Matrix]:
-    """Yield every canonical n x m matrix over {0..p-1}, ascending by row code.
+    """Every canonical n x m matrix over {0..p-1}, ascending by row code.
 
     `weight=k` keeps only the weight-k weighing matrices (n = m, p = 3): every
     row has k nonzero entries, which prunes, and each complete candidate must
@@ -77,7 +78,8 @@ def enumerate_canonical(n: int, m: int, p: int, weight: int | None = None,
     "emitted" classes, and "orbits", the sum of their class sizes
     n! * m! / |Aut|.  `first_rows` restricts the search to the given
     first-row choices (used to partition the tree among workers); it must be
-    a subset of canonical_first_rows(m, p, weight).
+    a subset of canonical_first_rows(m, p, weight).  A bad shape, base or
+    weight raises ValueError at the call, before any iteration.
     """
     if n < 1 or m < 1 or p < 2:
         raise ValueError(f"invalid shape/base n={n} m={m} p={p}")
@@ -86,10 +88,15 @@ def enumerate_canonical(n: int, m: int, p: int, weight: int | None = None,
             raise ValueError(f"weight needs an n x n shape over p=3, got {n}x{m} p={p}")
         if not 1 <= weight <= n:
             raise ValueError(f"weight k={weight} outside [1, {n}]")
+    return _enumerate(n, m, p, weight, budget, {} if counters is None else counters,
+                      first_rows)
+
+
+def _enumerate(n, m, p, weight, budget, state, first_rows) -> Iterator[Matrix]:
+    """The search behind enumerate_canonical, on checked arguments."""
     all_rows = [r for r in itertools.product(range(p), repeat=m)
                 if weight is None or m - r.count(0) == weight]
     group_order = math.factorial(n) * math.factorial(m)
-    state = {} if counters is None else counters
     state.update(nodes=0, emitted=0, orbits=0)
 
     def charge(amount=1):

@@ -6,21 +6,23 @@ whose row code is lexicographically minimal.
 
 One search engine, `_RowSearch`, runs in two modes.  Its minimum mode,
 `pruned_canonical_form`, is behind canonize and `equivalent`; its
-minimality mode, `is_minimal`, is the enumerator's leaf test.  The search
-builds the minimum row by row.  The placed rows split the columns into
-ordered cells; the next canonical row is the least, over the unplaced rows,
-of the row's digits sorted within each cell, and placing it splits every
-cell by digit value.  The search branches only on rows whose keys tie,
-places rows of identical content once, cuts prefixes that already compare
-greater than the incumbent, and skips tied rows that an automorphism found
-so far maps onto an explored sibling; two equal leaves give such an
-automorphism (after McKay and Piperno, *Practical graph isomorphism II*,
-J. Symb. Comput. 2014).  The orbit sizes along the first path give |Aut| as
-a by-product.  In minimality mode the candidate's own rows are the
-incumbent from the root, so the first prefix below them ends the search
-with "not minimal", and every leaf reached equals the candidate (after the
-"is canonical?" tests of Kaski and Östergård, *Classification Algorithms
-for Codes and Designs*, 2006).
+minimality mode, `is_minimal`, is the enumerator's leaf test.  A class
+minimum is semi-canonical (rows and columns both nondecreasing), so
+`is_minimal` rejects any other matrix before the search, with no node
+spent.  The search builds the minimum row by row.  The placed rows split
+the columns into ordered cells; the next canonical row is the least, over
+the unplaced rows, of the row's digits sorted within each cell, and placing
+it splits every cell by digit value.  The search branches only on rows
+whose keys tie, places rows of identical content once, cuts prefixes that
+already compare greater than the incumbent, and skips tied rows that an
+automorphism found so far maps onto an explored sibling; two equal leaves
+give such an automorphism (after McKay and Piperno, *Practical graph
+isomorphism II*, J. Symb. Comput. 2014).  The orbit sizes along the first
+path give |Aut| as a by-product.  In minimality mode the candidate's own
+rows are the incumbent from the root, so the first prefix below them ends
+the search with "not minimal", and every leaf reached equals the candidate
+(after the "is canonical?" tests of Kaski and Östergård, *Classification
+Algorithms for Codes and Designs*, 2006).
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import add
 
+from .canonicity import is_semi_canonical
 from .errors import BudgetExceededError
 from .matrices import Matrix
 
@@ -161,12 +165,19 @@ class MinimalityResult:
 def is_minimal(a: Matrix, budget: int | None = None) -> MinimalityResult:
     """Whether `a` equals pruned_canonical_form(a).canonical, by early-exit search.
 
-    Rows that are not ascending fail at once.  Otherwise the search takes
-    `a`'s rows as its incumbent from the root: it cuts prefixes above them
-    and stops at the first prefix below them.  Budget as for
-    pruned_canonical_form.
+    A matrix that is not semi-canonical fails at once, with no search node.
+    Every class minimum is semi-canonical.  Its rows ascend, since sorting
+    them would lower the code otherwise.  Its columns ascend too: suppose
+    column j is greater than column j+1, read top to bottom, and let i be
+    the first row where they differ.  Swapping the two columns leaves every
+    row above i unchanged and lowers row i, and re-sorting the rows lowers
+    the code again, so `a` is not minimal.
+
+    Otherwise the search takes `a`'s rows as its incumbent from the root:
+    it cuts prefixes above them and stops at the first prefix below them.
+    Budget as for pruned_canonical_form.
     """
-    if any(x > y for x, y in zip(a.rows, a.rows[1:])):
+    if not is_semi_canonical(a):
         return MinimalityResult(False, None, 0)
     search, _, depth = _search(a, budget, target=a.rows)
     if depth < 0:
@@ -181,8 +192,8 @@ def _search(a: Matrix, budget, target=None):
     for i, row in enumerate(a.rows):
         groups.setdefault(row, []).append(i)
     sources = list(groups.values())
-    search = _RowSearch(list(groups), [len(s) for s in sources], a.p, budget, target)
-    depth = search.node((), [], (0,) * a.m, tuple(range(len(sources))), 0, False)
+    search = _RowSearch(list(groups), list(map(len, sources)), a.p, budget, target)
+    depth = search.node((), [], (0,) * a.m, 1, tuple(range(len(sources))), 0, False)
     return search, sources, depth
 
 
@@ -207,11 +218,14 @@ class _RowSearch:
     the target, so each leaf after the first is an automorphism.
     """
 
+    __slots__ = ("rows", "mult", "p", "budget", "nodes", "first", "best",
+                 "stop_below", "best_version", "generators", "orbit_product")
+
     def __init__(self, rows, mult, p, budget, target=None):
         self.rows = rows
         self.mult = mult
         self.p = p
-        self.budget = budget
+        self.budget = math.inf if budget is None else budget
         self.nodes = 0
         self.first = None       # (canonical rows, row ids, colors) of leaf 1
         self.best = None if target is None else (target, None, None)
@@ -220,56 +234,50 @@ class _RowSearch:
         self.generators: list[tuple[int, ...]] = []
         self.orbit_product = 1
 
-    def node(self, ids, canon, colors, remaining, rel, eq_first) -> int:
+    def node(self, ids, canon, colors, cells, remaining, rel, eq_first) -> int:
         """Search below one node; returns the depth the search unwinds to.
 
-        `rel` compares `canon` with the same rows of `best` (-1, 0, +1) and
-        `eq_first` says whether it equals the first leaf's prefix; each is
-        meaningless while there is no `best`, respectively no first leaf.
-        A chain of nodes with one child each is walked in a loop, so the
-        recursion only grows at branching nodes.
+        `cells` is the number of column cells, the distinct values of
+        `colors`.  `rel` compares `canon` with the same rows of `best` (-1,
+        0, +1) and `eq_first` says whether it equals the first leaf's
+        prefix; each is meaningless while there is no `best`, respectively
+        no first leaf.  A chain of nodes with one child each is walked in a
+        loop, so the recursion only grows at branching nodes.
         """
-        p = self.p
+        p, rows, mult = self.p, self.rows, self.mult
         start = len(canon)
         while True:
             self.nodes += 1
-            if self.budget is not None and self.nodes > self.budget:
+            if self.nodes > self.budget:
                 raise BudgetExceededError(
                     f"canonical-form search exceeded its node budget {self.budget}",
                     nodes=self.nodes)
-            depth = len(ids)
             if not remaining:
                 target = self._leaf(ids, canon, colors, rel, eq_first)
                 del canon[start:]
                 return target
-            discrete = len(set(colors)) == len(colors)
+            discrete = cells == len(colors)
             if discrete:
                 # Every cell is one column, so no two keys tie: the unplaced
                 # rows follow in ascending order, all in one step.
                 col_order = sorted(range(len(colors)), key=colors.__getitem__)
-                placed = sorted((tuple(self.rows[u][j] for j in col_order), u)
+                placed = sorted((tuple(map(rows[u].__getitem__, col_order)), u)
                                 for u in remaining)
-                block = tuple(key for key, u in placed for _ in range(self.mult[u]))
+                block = tuple(key for key, u in placed for _ in range(mult[u]))
             else:
-                least = None
-                tied: list[int] = []
-                for u in remaining:
-                    key = (sorted([c + d for c, d in zip(colors, self.rows[u])]), -self.mult[u])
-                    if least is None or key < least:
-                        least, tied = key, [u]
-                    elif key == least:
-                        tied.append(u)
-                block = (tuple(v % p for v in least[0]),) * -least[1]
-            k = len(canon)
-            on_first_path = self.first is None
+                keys = [(sorted(map(add, colors, rows[u])), -mult[u]) for u in remaining]
+                least = min(keys)
+                tied = [u for u, key in zip(remaining, keys) if key == least]
+                block = (tuple([v % p for v in least[0]]),) * -least[1]
             if self.best is not None:
+                k = len(canon)
                 if rel == 0:
                     best_block = self.best[0][k:k + len(block)]
                     rel = (block > best_block) - (block < best_block)
                 eq_first = eq_first and block == self.first[0][k:k + len(block)]
                 if rel > 0 and not eq_first:
                     del canon[start:]
-                    return depth
+                    return len(ids)
                 if rel < 0 and self.stop_below:
                     del canon[start:]
                     return -1
@@ -280,12 +288,16 @@ class _RowSearch:
                 continue
             # Split every cell by the chosen row's digit, smaller digits first.
             rank = {v: i * p for i, v in enumerate(dict.fromkeys(least[0]))}
+            cells = len(rank)
             if len(tied) > 1:
                 break
             u = tied[0]
             ids += (u,)
-            colors = tuple(rank[c + d] for c, d in zip(colors, self.rows[u]))
-            remaining = tuple(x for x in remaining if x != u)
+            colors = tuple(map(rank.__getitem__, map(add, colors, rows[u])))
+            i = remaining.index(u)
+            remaining = remaining[:i] + remaining[i + 1:]
+        depth = len(ids)
+        on_first_path = self.first is None
         explored: list[int] = []
         roots = None
         seen_gens = -1
@@ -299,8 +311,8 @@ class _RowSearch:
             explored.append(u)
             version = self.best_version
             target = self.node(ids + (u,), canon,
-                               tuple(rank[c + d] for c, d in zip(colors, self.rows[u])),
-                               tuple(x for x in remaining if x != u), rel, eq_first)
+                               tuple(map(rank.__getitem__, map(add, colors, rows[u]))),
+                               cells, tuple(x for x in remaining if x != u), rel, eq_first)
             if target < depth:
                 del canon[start:]
                 return target

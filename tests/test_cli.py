@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 import os
@@ -174,7 +175,8 @@ class TestEnumerateAndCount:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        # _run_partitions imports the pool class when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         serial = run("enumerate", "1", "1", "2")
         assert sizes == []
         for workers in ("2", "4", "1000"):
@@ -268,9 +270,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [["classify-hadamard", "4"],
                                       ["enumerate", "4", "4", "3", "--filter", "hadamard"]])
     def test_budget_boundary_keeps_finished_partitions(self, argv):
-        code, full = run("--budget", "2695", *argv)
+        code, full = run("--budget", "2668", *argv)
         assert code == 0
-        code, partial = run("--budget", "2694", *argv)
+        code, partial = run("--budget", "2667", *argv)
         assert code == 4
         assert partial.startswith("# predicate=hadamard\n4 4 3\n")
         assert full.startswith(partial)
@@ -336,7 +338,7 @@ class TestManifest:
         path = str(tmp_path / "m.json")
         assert run("--manifest", path, "classify-hadamard", "4")[0] == 0
         nodes = json.loads(open(path).read())["nodes"]
-        assert classify_hadamard(4).nodes == nodes == 2695
+        assert classify_hadamard(4).nodes == nodes == 2668
 
     def test_records_processes_used(self, tmp_path):
         path = str(tmp_path / "m.json")
@@ -349,11 +351,11 @@ class TestManifest:
         assert json.loads(open(path).read())["workers"] == 2
 
     def test_count_nodes_include_leaf_tests(self, tmp_path):
-        # 2,209 rows placed and 5,142 leaf-test nodes (tests/test_enumeration.py).
+        # 2,209 rows placed and 2,380 leaf-test nodes (tests/test_enumeration.py).
         path = str(tmp_path / "m.json")
         assert run("--manifest", path, "enumerate", "4", "4", "2", "--count-only")[0] == 0
         nodes = json.loads(open(path).read())["nodes"]
-        assert nodes == 7351
+        assert nodes == 4589
         assert run("--budget", str(nodes), "enumerate", "4", "4", "2",
                    "--count-only") == (0, "count=317 burnside=317 agree=true\n")
         assert run("--manifest", path, "--budget", str(nodes - 1), "enumerate", "4", "4",
@@ -362,11 +364,11 @@ class TestManifest:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_budget_overrun_inside_partition_keeps_finished_nodes(self, tmp_path, workers):
-        # partition 000 finishes with 14,188 nodes; 001 overruns at 14,888 of its own
+        # partition 000 finishes with 8,772 nodes; 001 overruns at 12,670 of its own
         path = str(tmp_path / "m.json")
-        assert run("--manifest", path, "--budget", "14887", "enumerate", "4", "3", "3",
+        assert run("--manifest", path, "--budget", "12669", "enumerate", "4", "3", "3",
                    "--workers", workers)[0] == 4
-        assert json.loads(open(path).read())["nodes"] == 14188 + 14888
+        assert json.loads(open(path).read())["nodes"] == 8772 + 12670
 
     def test_records_nodes(self, tmp_path):
         path = str(tmp_path / "m.json")
@@ -376,11 +378,22 @@ class TestManifest:
         assert manifest["result"] == "count=7"
 
 
-def test_counting_never_loads_hashlib():
+def loaded_after_count(module):
+    """Whether a fresh interpreter has `module` loaded after `count 2 2 3`."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     script = ("import sys\nfrom canonmat.cli import main\n"
-              "main(['count', '2', '2', '3'])\nprint('_hashlib' in sys.modules)\n")
+              f"main(['count', '2', '2', '3'])\nprint({module!r} in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout == "count=27 burnside=27 agree=true\nFalse\n"
+    counted, loaded = done.stdout.splitlines()
+    assert counted == "count=27 burnside=27 agree=true"
+    return loaded == "True"
+
+
+def test_counting_never_loads_hashlib():
+    assert not loaded_after_count("_hashlib")
+
+
+def test_counting_never_loads_the_process_pool():
+    assert not loaded_after_count("concurrent.futures.process")

@@ -69,6 +69,12 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             list(enumerate_canonical(*shape, weight=weight))
 
+    @pytest.mark.parametrize("args,weight", [((2, 3, 3), 1), ((0, 3, 3), None),
+                                             ((3, 3, 1), None), ((3, 3, 3), 4)])
+    def test_bad_arguments_raise_at_the_call(self, args, weight):
+        with pytest.raises(ValueError):
+            enumerate_canonical(*args, weight=weight)
+
     @pytest.mark.parametrize("m,p", [(1, 5), (3, 3), (4, 2), (5, 3)])
     def test_first_rows_are_zeros_then_nondecreasing(self, m, p):
         spelled_out = [(0,) * (m - s) + tail for s in range(m + 1)
@@ -117,9 +123,15 @@ class TestEnumerate:
 
 # Rows placed by the enumerator and search nodes of its leaf tests, per shape
 # of the benchmark's census.  The leaf tests used 6,940, 10,574, 63,933 and
-# 95,027 nodes as full canonical-form searches.
-CENSUS_NODES = {(3, 3, 3): (1852, 4885), (4, 4, 2): (2209, 5142),
-                (4, 3, 3): (15786, 41107), (3, 4, 3): (22615, 55409)}
+# 95,027 nodes as full canonical-form searches, and 4,885, 5,142, 41,107 and
+# 55,409 as early-exit searches on every leaf.
+CENSUS_NODES = {(3, 3, 3): (1852, 3480), (4, 4, 2): (2209, 2380),
+                (4, 3, 3): (15786, 29682), (3, 4, 3): (22615, 26793)}
+
+# Leaf tests that reach the search engine, of all leaf tests, per shape: the
+# rest are not semi-canonical and fail with no search node.
+CENSUS_LEAF_TESTS = {(3, 3, 3): (994, 1687), (4, 4, 2): (520, 1818),
+                     (4, 3, 3): (8419, 13934), (3, 4, 3): (7571, 21913)}
 
 
 class TestCensus:
@@ -156,6 +168,8 @@ class TestCensus:
         placed, leaf_tests = CENSUS_NODES[shape]
         assert sum(leaf_nodes) == leaf_tests
         assert result.nodes == placed + leaf_tests
+        searched = sum(1 for nodes in leaf_nodes if nodes)
+        assert (searched, len(leaf_nodes)) == CENSUS_LEAF_TESTS[shape]
 
     def test_orbit_sums_come_from_the_leaf_tests(self):
         counters = {}

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from canonmat import (BudgetExceededError, Matrix, MinimalityResult,
                       PermPair, Permutation, apply, equivalent, is_minimal,
-                      pruned_canonical_form)
+                      is_semi_canonical, pruned_canonical_form)
 from conftest import (SWEEP_SHAPES, TRIO_C, all_matrices, canonical_form,
                       matrices, naive_minimum)
 
@@ -199,6 +199,26 @@ class TestIsMinimal:
                 samples.append(Matrix(n, m, p, rows))
         for a in samples:
             assert is_minimal(a, budget=0) == MinimalityResult(False, None, 0)
+
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_unsorted_columns_fail_at_once(self, shape):
+        screened = 0
+        for a in sorted_row_matrices(*shape):
+            cols = a.columns()
+            if all(x <= y for x, y in zip(cols, cols[1:])):
+                continue
+            screened += 1
+            assert is_minimal(a, budget=0) == MinimalityResult(False, None, 0)
+            assert pruned_canonical_form(a).canonical != a
+        assert screened
+
+    @given(matrices(max_n=5, max_m=6))
+    @settings(max_examples=200, deadline=None)
+    def test_minimal_implies_semi_canonical(self, a):
+        minimum = canonical_form(a).canonical
+        for b in (a, minimum, Matrix(a.n, a.m, a.p, tuple(sorted(a.rows)))):
+            if is_minimal(b).minimal or b == minimum:
+                assert is_semi_canonical(b)
 
     @given(matrices(max_n=6, max_m=7))
     @settings(max_examples=200, deadline=None)
