@@ -3,26 +3,29 @@
 Commands: encode, check, canonize, enumerate.  The shorthands `count N M P`,
 `classify-hadamard N` and `classify-weighing N K` stand for
 `enumerate N M P --count-only`, `enumerate N N 3 --filter hadamard` and
-`enumerate N N 3 --filter weighing:K`, and run through the same handler:
-unfiltered counts go to `census`, in one process, and every other
-enumeration to the first-row partition runner; the manifest's `workers` is
-the number of processes used.  Exit codes, mapped from exception types in
-one table: 0 success (verdicts are data, not failures), 2 parse error, 3
-digit out of range, 4 budget exceeded, 5 integrity failure.  All output is
-byte-deterministic for fixed inputs and budgets, including multi-worker
-enumeration.
+`enumerate N N 3 --filter weighing:K`, and run through the same handler.
+Every enumeration goes through `enumeration.run_partitions` (unfiltered
+counts through `census`, which adds its oracles) with `--workers`; the
+manifest's `workers` is the number of processes used.  Exit codes, mapped
+from exception types in one table: 0 success (verdicts are data, not
+failures), 2 parse error, 3 digit out of range, 4 budget exceeded, 5
+integrity failure.  A reader that closes stdout early ends the run quietly,
+with 0.  All output is byte-deterministic for fixed inputs and budgets,
+including multi-worker enumeration.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
 from .canonicity import is_canonical, is_semi_canonical
-from .enumeration import (DEFAULT_BUDGET, canonical_first_rows, census,
-                          enumerate_canonical)
+# perfbench/tracing.py wraps cli.enumerate_canonical by name, so it stays.
+from .enumeration import (DEFAULT_BUDGET, census, enumerate_canonical,  # noqa: F401
+                          run_partitions)
 from .equivalence import apply, pruned_canonical_form
 from .errors import (BudgetExceededError, DigitRangeError, IntegrityError,
                      ParseError)
@@ -44,13 +47,6 @@ def _read_matrix(path: str):
     return parse_matrix(text), hashlib.sha256(data).hexdigest()
 
 
-def _shape(n: int, m: int, p: int) -> list[int]:
-    """The manifest shape of a command's n m p arguments, once checked."""
-    if n < 1 or m < 1 or p < 2:
-        raise ParseError(f"invalid shape/base n={n} m={m} p={p}")
-    return [n, m, p]
-
-
 def _parse_filter(spec: str, n: int) -> tuple[int, str]:
     """The weight k of a --filter spec on order n, and its stream header.
 
@@ -67,63 +63,6 @@ def _parse_filter(spec: str, n: int) -> tuple[int, str]:
             raise ParseError(f"weight k={k} outside [1, {n}]")
         return k, f"# predicate=weighing k={k}"
     raise ParseError(f"unknown filter {spec!r} (expected hadamard or weighing:K)")
-
-
-def _partition_worker(job):
-    """Enumerate one first-row partition; returns (formatted blocks, nodes)."""
-    n, m, p, first, k, budget = job
-    counters: dict = {}
-    texts = [format_matrix(a) for a in enumerate_canonical(
-        n, m, p, weight=k, budget=budget, counters=counters, first_rows=[first])]
-    return texts, counters.get("nodes", 0)
-
-
-def _run_partitions(n, m, p, k, budget, workers, out, count_only, meta):
-    """Enumerate canonical matrices, partitioned by first row; (count, nodes).
-
-    Partitions are consumed in first-row order, so the byte stream is
-    identical for any worker count, and each is written as soon as it and
-    every earlier one are done.  The pool has at most one process per
-    partition, and `meta["workers"]` records its size.  The node budget is
-    charged cumulatively at partition boundaries (and each partition is
-    individually capped).
-    """
-    jobs = [(n, m, p, f, k, budget) for f in canonical_first_rows(m, p, k)]
-    workers = meta["workers"] = min(workers, len(jobs))
-    if workers > 1:
-        # Only a pool loads multiprocessing; counts and single files never do.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return _write_partitions(pool.map(_partition_worker, jobs), budget,
-                                     out, count_only)
-    return _write_partitions(map(_partition_worker, jobs), budget, out, count_only)
-
-
-def _write_partitions(results, budget, out, count_only):
-    """Write (or only count) partition results in order as they arrive.
-
-    A budget overrun, inside a partition or at a boundary, reports the nodes
-    and classes of the finished partitions plus those of the one that overran.
-    """
-    count = 0
-    nodes = 0
-    try:
-        for texts, part_nodes in results:
-            if budget is not None and nodes + part_nodes > budget:
-                raise BudgetExceededError(f"node budget {budget} exceeded",
-                                          nodes=part_nodes)
-            nodes += part_nodes
-            for text in texts:
-                if not count_only:
-                    out.write("\n" + text if count else text)
-                count += 1
-    except BudgetExceededError as exc:
-        exc.nodes += nodes
-        exc.partial_count += count
-        raise
-    out.write(f"count={count}\n" if count_only else f"# count={count}\n")
-    return count, nodes
 
 
 # Shorthand commands: name, help, positional arguments, and the enumerate
@@ -180,16 +119,15 @@ def _run(args, out, meta: dict) -> str:
     """Execute one command, filling in the manifest fields; returns the result."""
     if args.budget < 0:
         raise ParseError(f"--budget must be at least 0, got {args.budget}")
-    if args.command == "encode":
+    if hasattr(args, "file"):
         a, digest = _read_matrix(args.file)
         meta.update(shape=[a.n, a.m, a.p], input_digest=digest)
+    if args.command == "encode":
         out.write(f"r = {encode_rows(a).render()}\n")
         out.write(f"c = {encode_cols(a).render()}\n")
         return "encoded"
 
     if args.command == "check":
-        a, digest = _read_matrix(args.file)
-        meta.update(shape=[a.n, a.m, a.p], input_digest=digest)
         semi = is_semi_canonical(a)
         report = is_canonical(a)
         out.write(f"semi-canonical: {'yes' if semi else 'no'}\n")
@@ -199,8 +137,6 @@ def _run(args, out, meta: dict) -> str:
         return f"canonical={report.verdict}"
 
     if args.command == "canonize":
-        a, digest = _read_matrix(args.file)
-        meta.update(shape=[a.n, a.m, a.p], input_digest=digest)
         result = pruned_canonical_form(a, budget=args.budget)
         meta["nodes"] = result.nodes
         if apply(a, result.witness) != result.canonical:
@@ -211,7 +147,9 @@ def _run(args, out, meta: dict) -> str:
             out.write("cols: " + " ".join(str(j + 1) for j in result.witness.col.images) + "\n")
         return "canonized"
 
-    meta["shape"] = _shape(args.n, args.m, args.p)
+    if args.n < 1 or args.m < 1 or args.p < 2:
+        raise ParseError(f"invalid shape/base n={args.n} m={args.m} p={args.p}")
+    meta["shape"] = [args.n, args.m, args.p]
     if args.workers < 1:
         raise ParseError(f"--workers must be at least 1, got {args.workers}")
     k = header = None
@@ -222,18 +160,26 @@ def _run(args, out, meta: dict) -> str:
         k, header = _parse_filter(args.filter, args.n)
     if args.count_only and k is None:
         try:
-            result = census(args.n, args.m, args.p, budget=args.budget)
+            result = census(args.n, args.m, args.p, args.budget, args.workers, counters=meta)
         except IntegrityError as exc:
             out.write(f"count={exc.enumerated} burnside={exc.expected} agree=false\n")
             raise
-        meta["nodes"] = result.nodes
         out.write(f"count={result.count} burnside={result.burnside} agree=true\n")
         return f"count={result.count}"
     if header and not args.count_only:
         out.write(header + "\n")
-    count, meta["nodes"] = _run_partitions(args.n, args.m, args.p, k, args.budget,
-                                           args.workers, out, args.count_only, meta)
-    return f"count={count}"
+    separator = ""
+
+    def write(texts):
+        nonlocal separator
+        for text in texts:
+            out.write(separator + text)
+            separator = "\n"
+
+    result = run_partitions(args.n, args.m, args.p, k, args.budget, args.workers,
+                            emit=None if args.count_only else write, counters=meta)
+    out.write(f"count={result.count}\n" if args.count_only else f"# count={result.count}\n")
+    return f"count={result.count}"
 
 
 # Exception type -> (exit code, manifest result prefix).  Success is 0.
@@ -257,12 +203,18 @@ def main(argv=None, out=None) -> int:
     meta: dict = {"shape": None, "input_digest": None, "nodes": 0, "workers": 1}
     try:
         summary = _run(args, out, meta)
+        out.flush()
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code, label = EXIT_CODES[type(exc)]
         summary = f"{label}: {exc}"
         if isinstance(exc, BudgetExceededError):
             meta["nodes"] = exc.nodes
+    except BrokenPipeError:
+        # The reader left (`| head`); devnull takes the flush at exit.
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        summary = "output closed"
     if args.manifest:
         manifest = dict(meta, command=argv, budget=args.budget, result=summary,
                         elapsed_s=round(time.monotonic() - started, 6))

@@ -13,7 +13,8 @@ The six-condition structural check is deliberately NOT the leaf filter: it
 admits non-minimal matrices (e.g. at 3x3 over p=3) and rejects some minima
 (e.g. at 4x4 over p=2), so counts filtered by it would not partition the
 matrix set.  Emission order is strictly ascending in the row code, so
-streams are deterministic.
+streams are deterministic.  `run_partitions` runs the search one first row
+at a time, here or in a pool, for census, classifications and the CLI.
 
 Two oracles check every census.  The Burnside count (orbits of S_n x S_m
 on the full matrix set, via the cycle index) is computed by entirely
@@ -33,7 +34,7 @@ from typing import Iterator
 from . import hadamard
 from .equivalence import is_minimal, pruned_canonical_form
 from .errors import BudgetExceededError, IntegrityError
-from .matrices import Matrix
+from .matrices import Matrix, format_matrix
 
 BURNSIDE_GUARD = 12
 DEFAULT_BUDGET = 10_000_000
@@ -48,6 +49,7 @@ class ClassCensus:
     burnside: int | None = None
     representatives: list[Matrix] | None = None
     nodes: int = 0
+    orbits: int = 0  # sum of the class sizes n! * m! / |Aut|
 
     @property
     def agree(self) -> bool:
@@ -64,10 +66,18 @@ def canonical_first_rows(m: int, p: int,
             yield row
 
 
+def _check_arguments(n: int, m: int, p: int, weight: int | None) -> None:
+    if n < 1 or m < 1 or p < 2:
+        raise ValueError(f"invalid shape/base n={n} m={m} p={p}")
+    if weight is not None and (n != m or p != 3):
+        raise ValueError(f"weight needs an n x n shape over p=3, got {n}x{m} p={p}")
+    if weight is not None and not 1 <= weight <= n:
+        raise ValueError(f"weight k={weight} outside [1, {n}]")
+
+
 def enumerate_canonical(n: int, m: int, p: int, weight: int | None = None,
                         budget: int | None = DEFAULT_BUDGET,
-                        counters: dict | None = None,
-                        first_rows=None) -> Iterator[Matrix]:
+                        counters: dict | None = None) -> Iterator[Matrix]:
     """Every canonical n x m matrix over {0..p-1}, ascending by row code.
 
     `weight=k` keeps only the weight-k weighing matrices (n = m, p = 3): every
@@ -76,24 +86,16 @@ def enumerate_canonical(n: int, m: int, p: int, weight: int | None = None,
     `budget` caps the nodes: partial rows placed plus the search nodes of
     every leaf test.  `counters`, when passed, gets running totals: "nodes",
     "emitted" classes, and "orbits", the sum of their class sizes
-    n! * m! / |Aut|.  `first_rows` restricts the search to the given
-    first-row choices (used to partition the tree among workers); it must be
-    a subset of canonical_first_rows(m, p, weight).  A bad shape, base or
-    weight raises ValueError at the call, before any iteration.
+    n! * m! / |Aut|.  A bad shape, base or weight raises ValueError at the
+    call, before any iteration.
     """
-    if n < 1 or m < 1 or p < 2:
-        raise ValueError(f"invalid shape/base n={n} m={m} p={p}")
-    if weight is not None:
-        if n != m or p != 3:
-            raise ValueError(f"weight needs an n x n shape over p=3, got {n}x{m} p={p}")
-        if not 1 <= weight <= n:
-            raise ValueError(f"weight k={weight} outside [1, {n}]")
+    _check_arguments(n, m, p, weight)
     return _enumerate(n, m, p, weight, budget, {} if counters is None else counters,
-                      first_rows)
+                      canonical_first_rows(m, p, weight))
 
 
-def _enumerate(n, m, p, weight, budget, state, first_rows) -> Iterator[Matrix]:
-    """The search behind enumerate_canonical, on checked arguments."""
+def _enumerate(n, m, p, weight, budget, state, firsts) -> Iterator[Matrix]:
+    """The search below the given first rows, on checked arguments."""
     all_rows = [r for r in itertools.product(range(p), repeat=m)
                 if weight is None or m - r.count(0) == weight]
     group_order = math.factorial(n) * math.factorial(m)
@@ -106,7 +108,7 @@ def _enumerate(n, m, p, weight, budget, state, first_rows) -> Iterator[Matrix]:
                 f"node budget {budget} exceeded",
                 nodes=state["nodes"], partial_count=state["emitted"])
 
-    def extend(prefix: list[tuple[int, ...]], s: int) -> Iterator[Matrix]:
+    def extend(prefix: list[tuple[int, ...]], rows, start: int) -> Iterator[Matrix]:
         if len(prefix) == n:
             cand = Matrix(n=n, m=m, p=p, rows=tuple(prefix))
             if weight is not None and not hadamard.is_weighing(cand, weight):
@@ -123,36 +125,84 @@ def _enumerate(n, m, p, weight, budget, state, first_rows) -> Iterator[Matrix]:
                 state["orbits"] += group_order // test.aut_order
                 yield cand
             return
-        last = prefix[-1]
-        for row in all_rows:
-            if row < last:
-                continue
-            if sum(1 for e in row if e != 0) < s:
-                continue
+        for i in range(start, len(rows)):  # rows[start] is the last row placed
             charge()
-            prefix.append(row)
-            yield from extend(prefix, s)
+            prefix.append(rows[i])
+            yield from extend(prefix, rows, i)
             prefix.pop()
 
-    for first in (canonical_first_rows(m, p, weight) if first_rows is None else first_rows):
+    for first in firsts:
         charge()
-        s = sum(1 for e in first if e != 0)
-        yield from extend([first], s)
+        s = m - first.count(0)
+        # The rows a later row may be: >= the first, with at least its s nonzeros.
+        rows = [r for r in all_rows if r >= first and m - r.count(0) >= s]
+        yield from extend([first], rows, 0)
 
 
-def _partitions(k: int) -> Iterator[tuple[int, ...]]:
-    """Integer partitions of k, parts nonincreasing."""
+def _partition(job) -> tuple[list, int, int]:
+    """One first-row partition: (classes, nodes, orbits), the classes as text
+    if `text` is set."""
+    n, m, p, weight, first, budget, text = job
+    state: dict = {}
+    classes = list(_enumerate(n, m, p, weight, budget, state, (first,)))
+    return ([format_matrix(a) for a in classes] if text else classes,
+            state["nodes"], state["orbits"])
+
+
+def run_partitions(n: int, m: int, p: int, weight: int | None = None,
+                   budget: int | None = DEFAULT_BUDGET, workers: int = 1,
+                   emit=None, counters: dict | None = None) -> ClassCensus:
+    """Every class of a shape, one row of canonical_first_rows at a time, in
+    that order, here or in a pool of at most one process per partition: the
+    one driver of `census`, the classifications and the CLI.
+
+    `emit(texts)`, if given, gets each partition's classes, formatted, once it
+    and every earlier one are done.  `counters` gets "workers" (processes
+    used) and the running "nodes".  Each partition is capped at the budget
+    left when its job is made: after the one before it at one worker, so an
+    overrun stops at budget + 1 nodes; all at once in a pool.  Either way the
+    run stops in the same partition, and its error counts the nodes and
+    classes of the finished partitions plus those of the one that overran.
+    """
+    _check_arguments(n, m, p, weight)
+    firsts = list(canonical_first_rows(m, p, weight))
+    state = {} if counters is None else counters
+    state.update(workers=min(workers, len(firsts)), nodes=0)
+    text = emit is not None
+    jobs = ((n, m, p, weight, first, None if budget is None else budget - state["nodes"], text)
+            for first in firsts)
+    reps: list = []
+    count = orbits = 0
+    pool = None
+    if state["workers"] > 1:  # only a pool loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=state["workers"])
+    try:
+        for classes, nodes, part_orbits in (pool.map if pool else map)(_partition, jobs):
+            if budget is not None and state["nodes"] + nodes > budget:
+                raise BudgetExceededError("", nodes=nodes)  # worded below
+            state["nodes"] += nodes
+            count += len(classes)
+            orbits += part_orbits
+            (emit or reps.extend)(classes)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(f"node budget {budget} exceeded",
+                                  nodes=state["nodes"] + exc.nodes,
+                                  partial_count=count + exc.partial_count) from None
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return ClassCensus(shape=(n, m, p), count=count, nodes=state["nodes"], orbits=orbits,
+                       representatives=None if text else reps)
+
+
+def _partitions(k: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Integer partitions of k, parts nonincreasing and at most `largest`."""
     if k == 0:
         yield ()
-        return
-    def gen(remaining: int, largest: int):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            for rest in gen(remaining - part, part):
-                yield (part,) + rest
-    yield from gen(k, k)
+    for part in range(min(k, largest or k), 0, -1):
+        for rest in _partitions(k - part, part):
+            yield (part,) + rest
 
 
 def _conjugacy_class_size(partition: tuple[int, ...], k: int) -> int:
@@ -183,26 +233,26 @@ def burnside_count(n: int, m: int, p: int) -> int:
     return total // order
 
 
-def census(n: int, m: int, p: int,
-           budget: int | None = DEFAULT_BUDGET) -> ClassCensus:
+def census(n: int, m: int, p: int, budget: int | None = DEFAULT_BUDGET,
+           workers: int = 1, counters: dict | None = None) -> ClassCensus:
     """Every class of a shape, its count checked against both oracles.
 
-    Raises IntegrityError (carrying the enumerated and Burnside counts)
-    unless the count equals the Burnside count and the class sizes add up
-    to p^(n*m).  The Burnside count comes first, so a shape past its guard
-    fails before any enumeration.
+    `workers` and `counters` as for run_partitions.  Raises IntegrityError
+    (carrying the enumerated and Burnside counts) unless the count equals
+    the Burnside count and the class sizes add up to p^(n*m).  The Burnside
+    count comes first, so a shape past its guard fails before any
+    enumeration.
     """
     expected = burnside_count(n, m, p)
-    counters: dict = {}
-    reps = list(enumerate_canonical(n, m, p, budget=budget, counters=counters))
+    result = run_partitions(n, m, p, budget=budget, workers=workers, counters=counters)
     total = p**(n * m)
-    if len(reps) != expected or counters["orbits"] != total:
+    if result.count != expected or result.orbits != total:
         raise IntegrityError(
-            f"census disagreement at {(n, m, p)}: enumerated {len(reps)} classes, "
-            f"burnside {expected}; their sizes sum to {counters['orbits']} "
-            f"of {total} matrices", enumerated=len(reps), expected=expected)
-    return ClassCensus(shape=(n, m, p), count=len(reps), burnside=expected,
-                       representatives=reps, nodes=counters["nodes"])
+            f"census disagreement at {(n, m, p)}: enumerated {result.count} classes, "
+            f"burnside {expected}; their sizes sum to {result.orbits} "
+            f"of {total} matrices", enumerated=result.count, expected=expected)
+    result.burnside = expected
+    return result
 
 
 def orbit_size(a: Matrix) -> int:
@@ -217,10 +267,7 @@ def classify_weighing(n: int, k: int,
     Empty census (no error) at orders where none exist.  `budget` as for
     enumerate_canonical (None is unlimited); `nodes` is the total it caps.
     """
-    counters: dict = {}
-    reps = list(enumerate_canonical(n, n, 3, weight=k, budget=budget, counters=counters))
-    return ClassCensus(shape=(n, n, 3), count=len(reps), representatives=reps,
-                       nodes=counters["nodes"])
+    return run_partitions(n, n, 3, weight=k, budget=budget)
 
 
 def classify_hadamard(n: int, budget: int | None = DEFAULT_BUDGET) -> ClassCensus:

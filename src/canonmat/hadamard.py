@@ -3,7 +3,7 @@
 Digits {0, 1, 2} stand for {0, 1, -1}; the predicates check the integer
 Gram identity W W^T = k I on that sign view.  A Hadamard matrix of order n
 is a weighing matrix of weight n.  Classification is
-`enumerate_canonical(n, n, 3, weight=k)`, which calls `is_weighing` on each
+`run_partitions(n, n, 3, weight=k)`, whose search calls `is_weighing` on each
 complete candidate; see `enumeration.classify_weighing`.  Equivalence there
 is permutation-only: no row or column negations, so class counts differ
 from the negation-equivalence literature.

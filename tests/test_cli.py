@@ -138,7 +138,7 @@ class TestEnumerateAndCount:
     def test_partition_written_when_done(self, monkeypatch):
         parallel = run("enumerate", "3", "3", "2", "--workers", "2")[1]
         calls = []
-        worker = cli._partition_worker
+        worker = enumeration._partition
 
         def recording_worker(job):
             calls.append(job)
@@ -152,7 +152,7 @@ class TestEnumerateAndCount:
                     self.calls_at_first_write = len(calls)
                 return super().write(text)
 
-        monkeypatch.setattr(cli, "_partition_worker", recording_worker)
+        monkeypatch.setattr(enumeration, "_partition", recording_worker)
         out = Out()
         assert main(["enumerate", "3", "3", "2"], out=out) == 0
         assert out.calls_at_first_write == 1
@@ -175,7 +175,10 @@ class TestEnumerateAndCount:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        # _run_partitions imports the pool class when it needs one
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        # run_partitions imports the pool class when it needs one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         serial = run("enumerate", "1", "1", "2")
         assert sizes == []
@@ -187,10 +190,10 @@ class TestEnumerateAndCount:
         firsts = []
 
         def recording_worker(job):
-            firsts.append(job[3])
-            return [], 0
+            firsts.append(job[4])
+            return [], 0, 0
 
-        monkeypatch.setattr(cli, "_partition_worker", recording_worker)
+        monkeypatch.setattr(enumeration, "_partition", recording_worker)
         assert run("enumerate", "5", "5", "3", "--filter", "weighing:2")[0] == 0
         assert firsts == list(canonical_first_rows(5, 3, 2))
         assert firsts == [(0, 0, 0, 1, 1), (0, 0, 0, 1, 2), (0, 0, 0, 2, 2)]
@@ -263,8 +266,7 @@ class TestExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("enumerated past the Burnside guard")
 
-        monkeypatch.setattr(enumeration, "enumerate_canonical", never)
-        monkeypatch.setattr(cli, "enumerate_canonical", never)
+        monkeypatch.setattr(enumeration, "_enumerate", never)
         assert run("enumerate", "13", "3", "2", "--count-only") == (4, "")
 
     @pytest.mark.parametrize("argv", [["classify-hadamard", "4"],
@@ -342,12 +344,13 @@ class TestManifest:
 
     def test_records_processes_used(self, tmp_path):
         path = str(tmp_path / "m.json")
-        # unfiltered counts run census in one process, whatever --workers says
+        # a pool has one process per partition at most: 1 x 1 over p=2 has 2
+        for argv in (["enumerate", "1", "1", "2"], ["enumerate", "1", "1", "2", "--count-only"]):
+            assert run("--manifest", path, *argv, "--workers", "4")[0] == 0
+            assert json.loads(open(path).read())["workers"] == 2
+        # counts use the pool too: 3 x 3 over p=2 has 4 partitions
         assert run("--manifest", path, "enumerate", "3", "3", "2", "--count-only",
                    "--workers", "2") == (0, "count=36 burnside=36 agree=true\n")
-        assert json.loads(open(path).read())["workers"] == 1
-        # a stream's pool has one process per partition at most: 1 x 1 over p=2 has 2
-        assert run("--manifest", path, "enumerate", "1", "1", "2", "--workers", "4")[0] == 0
         assert json.loads(open(path).read())["workers"] == 2
 
     def test_count_nodes_include_leaf_tests(self, tmp_path):
@@ -362,13 +365,29 @@ class TestManifest:
                    "2", "--count-only") == (4, "")
         assert json.loads(open(path).read())["nodes"] == nodes
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_budget_overrun_inside_partition_keeps_finished_nodes(self, tmp_path, workers):
-        # partition 000 finishes with 8,772 nodes; 001 overruns at 12,670 of its own
+    @pytest.mark.parametrize("workers,nodes", [("1", 12670), ("2", 8772 + 12670)],
+                             ids=["1", "2"])
+    def test_budget_overrun_inside_partition_keeps_finished_nodes(self, tmp_path, workers,
+                                                                  nodes):
+        # Partition 000 finishes with 8,772 nodes.  One worker caps 001 at the
+        # 3,897 nodes left, so the run stops at the budget + 1; a pool caps it
+        # at the whole budget, and it overruns at 12,670 of its own.
         path = str(tmp_path / "m.json")
-        assert run("--manifest", path, "--budget", "12669", "enumerate", "4", "3", "3",
-                   "--workers", workers)[0] == 4
-        assert json.loads(open(path).read())["nodes"] == 8772 + 12670
+        code, out = run("--manifest", path, "--budget", "12669", "enumerate", "4", "3", "3",
+                        "--workers", workers)
+        assert code == 4 and out.startswith("4 3 3\n0 0 0\n")
+        assert json.loads(open(path).read())["nodes"] == nodes
+
+    @pytest.mark.parametrize("shape", [("3", "3", "2"), ("4", "4", "2")], ids=["3x3x2", "4x4x2"])
+    def test_count_same_at_one_and_two_workers(self, tmp_path, shape):
+        results = []
+        for workers in ("1", "2"):
+            path = str(tmp_path / f"m{workers}.json")
+            results.append((*run("--manifest", path, "enumerate", *shape, "--count-only",
+                                 "--workers", workers),
+                            json.loads(open(path).read())["nodes"]))
+        assert results[0] == results[1]
+        assert results[0][0] == 0 and results[0][2] > 0
 
     def test_records_nodes(self, tmp_path):
         path = str(tmp_path / "m.json")
@@ -397,3 +416,21 @@ def test_counting_never_loads_hashlib():
 
 def test_counting_never_loads_the_process_pool():
     assert not loaded_after_count("concurrent.futures.process")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_closed_stdout_ends_quietly(workers):
+    # The 4 x 3 x 3 stream is 156,655 bytes, more than a pipe holds, so the
+    # program is still writing when the reader closes after the first line.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "canonmat.cli", "enumerate", "4", "3", "3",
+                             "--workers", workers], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+    try:
+        assert proc.stdout.readline() == b"4 3 3\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()

@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -177,7 +178,7 @@ class TestCensus:
         assert counters["emitted"] == len(reps) == 36
         assert counters["orbits"] == sum(orbit_size(r) for r in reps) == 2**9
 
-    def test_wrong_orbit_size_fails_the_census(self, monkeypatch):
+    def test_wrong_orbit_size_fails_the_census(self, monkeypatch, tmp_path):
         # One class reports |Aut| = 1 instead of 3! * 3!: the class count
         # still matches Burnside, but the class sizes overshoot 2^9.
         real = enumeration.is_minimal
@@ -191,9 +192,14 @@ class TestCensus:
         with pytest.raises(IntegrityError) as exc:
             census(3, 3, 2)
         assert (exc.value.enumerated, exc.value.expected) == (36, 36)
-        out = io.StringIO()
-        assert cli.main(["count", "3", "3", "2"], out=out) == 5
-        assert out.getvalue() == "count=36 burnside=36 agree=false\n"
+        nodes = []
+        for argv in (["count", "3", "3", "2"],
+                     ["enumerate", "3", "3", "2", "--count-only", "--workers", "2"]):
+            out, path = io.StringIO(), str(tmp_path / "m.json")
+            assert cli.main(["--manifest", path, *argv], out=out) == 5
+            assert out.getvalue() == "count=36 burnside=36 agree=false\n"
+            nodes.append(json.loads(open(path).read())["nodes"])
+        assert nodes[0] == nodes[1] > 0
 
     def test_stream_mode(self):
         result = census(2, 2, 2)
