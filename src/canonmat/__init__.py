@@ -1,4 +1,14 @@
-"""Canonical forms of matrices over {0..p-1} under row/column permutations."""
+"""Canonical forms of matrices over {0..p-1} under row/column permutations.
+
+Every record the package returns is an immutable named tuple: Matrix,
+RowCode (alias ColCode), Permutation, PermPair, CanonResult,
+MinimalityResult, RowStats, and CanonicityReport with its ConditionResult
+entries.  Each is equal by value, hashable and picklable, unpacks into its
+fields, and compares equal to the plain tuple of them.  Matrix and
+Permutation check their fields wherever they are built, `_replace`
+included.  ClassCensus, the one mutable result, is a plain class.  None of
+them needs `dataclasses`, which keeps the import short.
+"""
 
 from .canonicity import (CanonicityReport, RowStats, condition5_transform,
                          first_row_col_structure, is_canonical,

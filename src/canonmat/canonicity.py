@@ -18,11 +18,13 @@ t = number of rows equal to the first row (`row_stats(a).zeta[0]`), as in
 `is_canonical` and `condition5_transform`.  One function counts something
 else: `first_row_col_structure` returns (s, z), with z = the leading zeros
 of the first column.  On 001/011 it returns (1, 2), while t = 1.
+
+`RowStats`, `ConditionResult` and `CanonicityReport` are named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import le
 
 from .matrices import Matrix
@@ -32,27 +34,29 @@ FAIL = "fail"
 NA = "n/a"
 
 
-@dataclass(frozen=True)
-class RowStats:
-    """Per-row nonzero counts and equal-row class data."""
+class RowStats(namedtuple("RowStats", "nu zeta zclass_start")):
+    """Per-row nonzero counts and equal-row class data: `nu` holds the
+    nonzero entries of each row, `zeta` the size of each row's equal-value
+    class, and `zclass_start` the first index of each row's class
+    (contiguous when sorted)."""
 
-    nu: tuple[int, ...]            # nonzero entries in each row
-    zeta: tuple[int, ...]          # size of each row's equal-value class
-    zclass_start: tuple[int, ...]  # first index of each row's class (contiguous when sorted)
-
-
-@dataclass(frozen=True)
-class ConditionResult:
-    status: str  # pass | fail | n/a
-    reason: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CanonicityReport:
-    verdict: bool
-    conditions: tuple[ConditionResult, ...]
-    failing_witness: Matrix | None = None
-    failing_submatrix: Matrix | None = None
+class ConditionResult(namedtuple("ConditionResult", "status reason")):
+    """One condition's outcome: `status` is pass, fail or n/a."""
+
+    __slots__ = ()
+
+
+class CanonicityReport(namedtuple("CanonicityReport",
+                                  "verdict conditions failing_witness failing_submatrix",
+                                  defaults=(None, None))):
+    """The six conditions' outcomes and their conjunction, with the
+    rearranged matrix that failed condition 5 and the submatrix that failed
+    condition 6, when they did."""
+
+    __slots__ = ()
 
     def to_text(self) -> str:
         lines = [f"cond{k + 1}: {c.status} — {c.reason}"

@@ -9,15 +9,16 @@ counts through `census`, which adds its oracles) with `--workers`; the
 manifest's `workers` is the number of processes used.  Exit codes, mapped
 from exception types in one table: 0 success (verdicts are data, not
 failures), 2 parse error, 3 digit out of range, 4 budget exceeded, 5
-integrity failure.  A reader that closes stdout early ends the run quietly,
-with 0.  All output is byte-deterministic for fixed inputs and budgets,
-including multi-worker enumeration.
+integrity failure.  A `--manifest` path that cannot be written exits 2
+before the command runs; `json` is loaded only to write a manifest.  A
+reader that closes stdout early ends the run quietly, with 0.  All output
+is byte-deterministic for fixed inputs and budgets, including multi-worker
+enumeration.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -198,6 +199,12 @@ def main(argv=None, out=None) -> int:
     if hasattr(args, "expand"):
         args.m, args.p, args.filter, args.count_only = args.expand(args)
         args.command, args.workers = "enumerate", 1
+    if args.manifest:
+        try:  # a path that cannot be written fails before any output
+            open(args.manifest, "a").close()
+        except OSError as exc:
+            print(f"error: cannot write {args.manifest}: {exc.strerror}", file=sys.stderr)
+            return EXIT_CODES[ParseError][0]
     started = time.monotonic()
     code = 0
     meta: dict = {"shape": None, "input_digest": None, "nodes": 0, "workers": 1}
@@ -216,6 +223,8 @@ def main(argv=None, out=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
         summary = "output closed"
     if args.manifest:
+        import json  # only a manifest loads it
+
         manifest = dict(meta, command=argv, budget=args.budget, result=summary,
                         elapsed_s=round(time.monotonic() - started, 6))
         with open(args.manifest, "w") as fh:

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import hadamard
 from .equivalence import is_minimal, pruned_canonical_form
@@ -40,16 +39,22 @@ BURNSIDE_GUARD = 12
 DEFAULT_BUDGET = 10_000_000
 
 
-@dataclass
 class ClassCensus:
-    """Result of counting/streaming equivalence classes for one shape."""
+    """Result of counting/streaming equivalence classes for one shape.
 
-    shape: tuple[int, int, int]
-    count: int
-    burnside: int | None = None
-    representatives: list[Matrix] | None = None
-    nodes: int = 0
-    orbits: int = 0  # sum of the class sizes n! * m! / |Aut|
+    The one mutable record: `census` sets `burnside` once it agrees.
+    `orbits` is the sum of the class sizes n! * m! / |Aut|.
+    """
+
+    def __init__(self, shape: tuple[int, int, int], count: int, burnside: int | None = None,
+                 representatives: list[Matrix] | None = None, nodes: int = 0,
+                 orbits: int = 0):
+        self.shape = shape
+        self.count = count
+        self.burnside = burnside
+        self.representatives = representatives
+        self.nodes = nodes
+        self.orbits = orbits
 
     @property
     def agree(self) -> bool:

@@ -23,13 +23,15 @@ rows are the incumbent from the root, so the first prefix below them ends
 the search with "not minimal", and every leaf reached equals the candidate
 (after the "is canonical?" tests of Kaski and Östergård, *Classification
 Algorithms for Codes and Designs*, 2006).
+
+The permutations, witness pairs and both search results are named tuples;
+`Permutation` checks that its images form a bijection.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from operator import add
 
 from .canonicity import is_semi_canonical
@@ -37,15 +39,22 @@ from .errors import BudgetExceededError
 from .matrices import Matrix
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on {0, ..., k-1}; images[i] is the image of i."""
+class Permutation(namedtuple("Permutation", "images")):
+    """A bijection on {0, ..., k-1}; images[i] is the image of i.
 
-    images: tuple[int, ...]
+    A one-field record, so len() and unpacking see `images` whole: its
+    size is `size`.
+    """
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a bijection: {self.images}")
+    __slots__ = ()
+
+    def __new__(cls, images: tuple[int, ...]):
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"not a bijection: {images}")
+        return tuple.__new__(cls, (images,))
+
+    # The named tuple's _make, and _replace through it, would skip __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def identity(cls, k: int) -> "Permutation":
@@ -69,12 +78,10 @@ class Permutation:
         return Permutation(tuple(self.images[other.images[i]] for i in range(len(self.images))))
 
 
-@dataclass(frozen=True)
-class PermPair:
+class PermPair(namedtuple("PermPair", "row col")):
     """A row permutation and a column permutation acting together."""
 
-    row: Permutation
-    col: Permutation
+    __slots__ = ()
 
     @classmethod
     def identity(cls, n: int, m: int) -> "PermPair":
@@ -87,18 +94,15 @@ class PermPair:
         return PermPair(self.row.compose(other.row), self.col.compose(other.col))
 
 
-@dataclass(frozen=True)
-class CanonResult:
+class CanonResult(namedtuple("CanonResult", "canonical witness aut_order nodes",
+                             defaults=(None, 0))):
     """The class minimum and a witness pair taking the input to it.
 
     `aut_order` is |Aut|, the number of pairs that fix the input, and
     `nodes` the search nodes spent; an exhaustive oracle may leave them unset.
     """
 
-    canonical: Matrix
-    witness: PermPair
-    aut_order: int | None = None
-    nodes: int = 0
+    __slots__ = ()
 
 
 def apply(a: Matrix, pp: PermPair) -> Matrix:
@@ -146,17 +150,14 @@ def pruned_canonical_form(a: Matrix, budget: int | None = None) -> CanonResult:
                        aut_order=search.aut_order(), nodes=search.nodes)
 
 
-@dataclass(frozen=True)
-class MinimalityResult:
+class MinimalityResult(namedtuple("MinimalityResult", "minimal aut_order nodes")):
     """Whether a matrix is its own class minimum; true exactly when it is.
 
     `aut_order` is |Aut| when it is (None otherwise), and `nodes` the
     search nodes spent.
     """
 
-    minimal: bool
-    aut_order: int | None
-    nodes: int
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.minimal

@@ -8,39 +8,43 @@ faithful encoding: two matrices are equal iff their row codes are equal.
 Codes are stored as fixed-width digit sequences rather than machine
 integers, so widths beyond 64 bits need no special handling; decimal
 rendering falls back to a digit string when a value does not fit 64 bits.
+
+`Matrix` is the named tuple (n, m, p, rows) and checks its shape and
+entries whenever it is built; `RowCode` is (width, base, digits).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DigitRangeError, ParseError
 
 _INT64_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(namedtuple("Matrix", "n m p rows")):
     """An n x m matrix with entries in {0, ..., p-1}, row-major."""
 
-    n: int
-    m: int
-    p: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"matrix shape must be at least 1x1, got {self.n}x{self.m}")
-        if self.p < 2:
-            raise ValueError(f"base p must be >= 2, got {self.p}")
-        if len(self.rows) != self.n:
-            raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
-        for row in self.rows:
-            if len(row) != self.m:
-                raise ValueError(f"expected rows of length {self.m}, got {len(row)}")
+    def __new__(cls, n: int, m: int, p: int, rows: tuple[tuple[int, ...], ...]):
+        if n < 1 or m < 1:
+            raise ValueError(f"matrix shape must be at least 1x1, got {n}x{m}")
+        if p < 2:
+            raise ValueError(f"base p must be >= 2, got {p}")
+        if len(rows) != n:
+            raise ValueError(f"expected {n} rows, got {len(rows)}")
+        top = p - 1
+        for row in rows:
+            if len(row) != m:
+                raise ValueError(f"expected rows of length {m}, got {len(row)}")
             for e in row:
-                if not (0 <= e <= self.p - 1):
-                    raise DigitRangeError(f"entry {e} outside [0, {self.p - 1}]")
+                if not (0 <= e <= top):
+                    raise DigitRangeError(f"entry {e} outside [0, {top}]")
+        return tuple.__new__(cls, (n, m, p, rows))
+
+    # The named tuple's _make, and _replace through it, would skip __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def from_rows(cls, rows, p: int) -> "Matrix":
@@ -54,17 +58,14 @@ class Matrix:
         return Matrix(n=self.m, m=self.n, p=self.p, rows=self.columns())
 
 
-@dataclass(frozen=True)
-class RowCode:
+class RowCode(namedtuple("RowCode", "width base digits")):
     """Ordered tuple of numerals, each a fixed-width base-p digit sequence.
 
     Serves as the row code (rows read left to right) and, under the alias
     ColCode, as the column code (columns read top to bottom).
     """
 
-    width: int
-    base: int
-    digits: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @classmethod
     def from_ints(cls, values, width: int, base: int) -> "RowCode":

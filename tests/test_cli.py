@@ -298,6 +298,8 @@ BAD_INPUTS = [
     (["check", "FILE"], b"1 2 2\n0 1\n9 9 9\n", 2),
     (["enumerate", "2", "2", "2", "--workers", "0"], None, 2),
     (["--budget", "-1", "canonize", "FILE"], b"2 2 2\n0 1\n1 0\n", 2),
+    (["--manifest", "/nonexistent/dir/m.json", "count", "2", "2", "2"], None, 2),
+    (["--manifest", os.curdir, "count", "2", "2", "2"], None, 2),
 ]
 
 
@@ -397,11 +399,13 @@ class TestManifest:
         assert manifest["result"] == "count=7"
 
 
-def loaded_after_count(module):
-    """Whether a fresh interpreter has `module` loaded after `count 2 2 3`."""
+def loaded_after_count(module, *options):
+    """Whether a fresh interpreter has `module` loaded after `count 2 2 3`
+    with the given global options."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     script = ("import sys\nfrom canonmat.cli import main\n"
-              f"main(['count', '2', '2', '3'])\nprint({module!r} in sys.modules)\n")
+              f"main([*{options!r}, 'count', '2', '2', '3'])\n"
+              f"print({module!r} in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
@@ -416,6 +420,16 @@ def test_counting_never_loads_hashlib():
 
 def test_counting_never_loads_the_process_pool():
     assert not loaded_after_count("concurrent.futures.process")
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "inspect", "json"])
+def test_counting_never_loads(module):
+    # The records are named tuples, and only a manifest needs json.
+    assert not loaded_after_count(module)
+
+
+def test_manifest_loads_json(tmp_path):
+    assert loaded_after_count("json", "--manifest", str(tmp_path / "m.json"))
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

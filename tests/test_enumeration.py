@@ -31,6 +31,12 @@ class TestBurnside:
     def test_symmetry(self):
         assert burnside_count(3, 4, 2) == burnside_count(4, 3, 2)
 
+    def test_cited_oeis_a002724(self):
+        # Cited, not computed: OEIS A002724 (https://oeis.org/A002724), the
+        # n x n binary matrices up to row and column permutations.
+        assert [burnside_count(n, n, 2) for n in range(1, 9)] == [
+            2, 7, 36, 317, 5624, 251610, 33642660, 14685630688]
+
 
 class TestEnumerate:
     def test_one_by_one(self):
