@@ -40,7 +40,7 @@ def _read_matrix(path: str):
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
     try:
         text = data.decode()
     except UnicodeDecodeError as exc:

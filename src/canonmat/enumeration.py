@@ -16,6 +16,18 @@ matrix set.  Emission order is strictly ascending in the row code, so
 streams are deterministic.  `run_partitions` runs the search one first row
 at a time, here or in a pool, for census, classifications and the CLI.
 
+A rejection also names the length k of the leading row block it rests on:
+the shortest prefix that is not semi-canonical, or one more than the last
+row of the candidate that the arrangement below it used.  Either way the
+first k rows are not their own class minimum.  Every row prefix of a class
+minimum is one (Read, *Every one a winner*, 1978; Kaski and Östergård,
+2006, ch. 4): under any column order the k least rows of a matrix are
+elementwise at most its first k rows sorted, so a prefix with a smaller
+arrangement gives the whole matrix one too.  So the search unwinds to
+depth k at once instead of trying the remaining rows below it; only
+non-canonical leaves are skipped, and the classes, their order and the
+partitions do not change.
+
 Two oracles check every census.  The Burnside count (orbits of S_n x S_m
 on the full matrix set, via the cycle index) is computed by entirely
 different means.  The orbit sizes n! * m! / |Aut| of the emitted classes,
@@ -114,10 +126,13 @@ def _enumerate(n, m, p, weight, budget, state, firsts) -> Iterator[Matrix]:
                 nodes=state["nodes"], partial_count=state["emitted"])
 
     def extend(prefix: list[tuple[int, ...]], rows, start: int) -> Iterator[Matrix]:
+        """Yield the classes below `prefix`; return the length of a prefix of
+        it shown not canonical, so the callers down to that depth unwind, or
+        n when none is."""
         if len(prefix) == n:
             cand = Matrix(n=n, m=m, p=p, rows=tuple(prefix))
             if weight is not None and not hadamard.is_weighing(cand, weight):
-                return
+                return n
             left = None if budget is None else budget - state["nodes"]
             try:
                 test = is_minimal(cand, budget=left)
@@ -125,16 +140,21 @@ def _enumerate(n, m, p, weight, budget, state, firsts) -> Iterator[Matrix]:
                 charge(exc.nodes)  # past the budget, so this raises
                 raise
             charge(test.nodes)
-            if test.minimal:
-                state["emitted"] += 1
-                state["orbits"] += group_order // test.aut_order
-                yield cand
-            return
+            if not test.minimal:
+                return test.prefix
+            state["emitted"] += 1
+            state["orbits"] += group_order // test.aut_order
+            yield cand
+            return n
+        depth = len(prefix)
         for i in range(start, len(rows)):  # rows[start] is the last row placed
             charge()
             prefix.append(rows[i])
-            yield from extend(prefix, rows, i)
+            cut = yield from extend(prefix, rows, i)
             prefix.pop()
+            if cut <= depth:  # the prefix placed so far is refuted
+                return cut
+        return n
 
     for first in firsts:
         charge()

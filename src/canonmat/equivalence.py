@@ -22,7 +22,9 @@ path give |Aut| as a by-product.  In minimality mode the candidate's own
 rows are the incumbent from the root, so the first prefix below them ends
 the search with "not minimal", and every leaf reached equals the candidate
 (after the "is canonical?" tests of Kaski and Östergård, *Classification
-Algorithms for Codes and Designs*, 2006).
+Algorithms for Codes and Designs*, 2006).  A "not minimal" also names the
+shortest leading row block of the candidate it rests on, which the
+enumerator unwinds to.
 
 The permutations, witness pairs and both search results are named tuples;
 `Permutation` checks that its images form a bijection.
@@ -150,11 +152,15 @@ def pruned_canonical_form(a: Matrix, budget: int | None = None) -> CanonResult:
                        aut_order=search.aut_order(), nodes=search.nodes)
 
 
-class MinimalityResult(namedtuple("MinimalityResult", "minimal aut_order nodes")):
+class MinimalityResult(namedtuple("MinimalityResult", "minimal aut_order nodes prefix",
+                                  defaults=(None,))):
     """Whether a matrix is its own class minimum; true exactly when it is.
 
     `aut_order` is |Aut| when it is (None otherwise), and `nodes` the
-    search nodes spent.
+    search nodes spent.  On a "no", `prefix` is the length k of the leading
+    row block the "no" rests on: the first k rows are not their own class
+    minimum either (see is_minimal).  Every row prefix of a class minimum
+    is a class minimum, so no matrix that starts with those k rows is one.
     """
 
     __slots__ = ()
@@ -177,13 +183,46 @@ def is_minimal(a: Matrix, budget: int | None = None) -> MinimalityResult:
     Otherwise the search takes `a`'s rows as its incumbent from the root:
     it cuts prefixes above them and stops at the first prefix below them.
     Budget as for pruned_canonical_form.
+
+    A "no" also gives `prefix`, the length k of a leading row block that is
+    not its own class minimum, in one of two cases:
+
+    1. `a` is not semi-canonical.  k is the length of its shortest row
+       prefix that is not semi-canonical either: the least of i + 2 for a
+       row i above a smaller row i + 1, and, for each descending column
+       pair j, j + 1, one more than the first row where the two differ.
+    2. A block of the search fell below the target.  The canonical rows
+       placed so far equal `a`'s first rows, and the block's first d rows
+       compare below the target's next d.  Those rows come from a set S of
+       rows of `a`: every copy of each placed row, then the rows that give
+       the block, copy by copy, up to the first position where it differs;
+       for a tied block, the tied row whose copies come first in `a`.  Let
+       k be one more than the largest index in S, and Q the first k rows,
+       so S lies in Q.  Under the column order that gives the block, the
+       |S| least rows of Q are elementwise at most the sorted rows of S,
+       which are at most those placed rows and block rows, which are below
+       `a`'s first |S| rows, the first |S| rows of Q.  So Q is not its
+       class minimum.
     """
     if not is_semi_canonical(a):
-        return MinimalityResult(False, None, 0)
-    search, _, depth = _search(a, budget, target=a.rows)
+        return MinimalityResult(False, None, 0, _unsorted_prefix(a.rows))
+    search, sources, depth = _search(a, budget, target=a.rows)
     if depth < 0:
-        return MinimalityResult(False, None, search.nodes)
+        return MinimalityResult(False, None, search.nodes,
+                                1 + max(sources[u][c - 1] for u, c in search.below))
     return MinimalityResult(True, search.aut_order(), search.nodes)
+
+
+def _unsorted_prefix(rows) -> int:
+    """Length of the shortest row prefix that is not semi-canonical, for
+    rows that are not."""
+    k = next((i + 2 for i in range(len(rows) - 1) if rows[i] > rows[i + 1]), len(rows))
+    cols = list(zip(*rows))
+    for left, right in zip(cols, cols[1:]):
+        if left > right:
+            # The first row where the two columns differ orders them.
+            k = min(k, 1 + next(i for i, (x, y) in enumerate(zip(left, right)) if x != y))
+    return k
 
 
 def _search(a: Matrix, budget, target=None):
@@ -215,12 +254,14 @@ class _RowSearch:
 
     Given `target` rows, the search tests their minimality instead: they are
     the incumbent from the root, and a node whose block falls below them
-    unwinds the whole search (the root returns -1).  Every leaf then equals
-    the target, so each leaf after the first is an automorphism.
+    unwinds the whole search (the root returns -1) and leaves in `below` the
+    rows that fall rests on.  Every leaf then equals the target, so each
+    leaf after the first is an automorphism.  The target is sorted there, so
+    row ids ascend with the target's row indices.
     """
 
     __slots__ = ("rows", "mult", "p", "budget", "nodes", "first", "best",
-                 "stop_below", "best_version", "generators", "orbit_product")
+                 "stop_below", "below", "best_version", "generators", "orbit_product")
 
     def __init__(self, rows, mult, p, budget, target=None):
         self.rows = rows
@@ -231,6 +272,7 @@ class _RowSearch:
         self.first = None       # (canonical rows, row ids, colors) of leaf 1
         self.best = None if target is None else (target, None, None)
         self.stop_below = target is not None
+        self.below = None       # (row id, copies) a fall below the target rests on
         self.best_version = 0
         self.generators: list[tuple[int, ...]] = []
         self.orbit_product = 1
@@ -281,6 +323,9 @@ class _RowSearch:
                     return len(ids)
                 if rel < 0 and self.stop_below:
                     del canon[start:]
+                    self.below = self._rows_below(
+                        ids, [u for _, u in placed] if discrete else [min(tied)],
+                        block, best_block)
                     return -1
             canon += block
             if discrete:
@@ -327,6 +372,20 @@ class _RowSearch:
             roots = self._orbit_roots(ids)
             self.orbit_product *= roots.count(roots[tied[0]])
         return depth
+
+    def _rows_below(self, ids, order, block, best_block) -> list[tuple[int, int]]:
+        """(row id, copies) of every row a block below the target rests on:
+        all copies of the rows placed, then the rows of `order` that give the
+        block up to the first position where it differs from `best_block`."""
+        d = next(i for i, (x, y) in enumerate(zip(block, best_block)) if x != y)
+        below = [(u, self.mult[u]) for u in ids]
+        for u in order:
+            copies = min(self.mult[u], d + 1)
+            below.append((u, copies))
+            d -= copies
+            if d < 0:
+                break
+        return below
 
     def aut_order(self) -> int:
         """|Aut| once the search is done and has a leaf."""

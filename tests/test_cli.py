@@ -272,9 +272,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [["classify-hadamard", "4"],
                                       ["enumerate", "4", "4", "3", "--filter", "hadamard"]])
     def test_budget_boundary_keeps_finished_partitions(self, argv):
-        code, full = run("--budget", "2668", *argv)
+        code, full = run("--budget", "2449", *argv)
         assert code == 0
-        code, partial = run("--budget", "2667", *argv)
+        code, partial = run("--budget", "2448", *argv)
         assert code == 4
         assert partial.startswith("# predicate=hadamard\n4 4 3\n")
         assert full.startswith(partial)
@@ -300,6 +300,7 @@ BAD_INPUTS = [
     (["--budget", "-1", "canonize", "FILE"], b"2 2 2\n0 1\n1 0\n", 2),
     (["--manifest", "/nonexistent/dir/m.json", "count", "2", "2", "2"], None, 2),
     (["--manifest", os.curdir, "count", "2", "2", "2"], None, 2),
+    (["canonize", "/nonexistent/x.txt"], None, 2),
 ]
 
 
@@ -311,7 +312,10 @@ def test_bad_input_exit_code(tmp_path, capsys, argv, data, code):
         path.write_bytes(data)
         argv = [str(path) if arg == "FILE" else arg for arg in argv]
     assert run(*argv) == (code, "")
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for missing in (arg for arg in argv if arg.startswith("/nonexistent/")):
+        assert err.count(missing) == 1, err
 
 
 class TestManifest:
@@ -342,7 +346,7 @@ class TestManifest:
         path = str(tmp_path / "m.json")
         assert run("--manifest", path, "classify-hadamard", "4")[0] == 0
         nodes = json.loads(open(path).read())["nodes"]
-        assert classify_hadamard(4).nodes == nodes == 2668
+        assert classify_hadamard(4).nodes == nodes == 2449
 
     def test_records_processes_used(self, tmp_path):
         path = str(tmp_path / "m.json")
@@ -356,26 +360,26 @@ class TestManifest:
         assert json.loads(open(path).read())["workers"] == 2
 
     def test_count_nodes_include_leaf_tests(self, tmp_path):
-        # 2,209 rows placed and 2,380 leaf-test nodes (tests/test_enumeration.py).
+        # 874 rows placed and 2,154 leaf-test nodes (tests/test_enumeration.py).
         path = str(tmp_path / "m.json")
         assert run("--manifest", path, "enumerate", "4", "4", "2", "--count-only")[0] == 0
         nodes = json.loads(open(path).read())["nodes"]
-        assert nodes == 4589
+        assert nodes == 3028
         assert run("--budget", str(nodes), "enumerate", "4", "4", "2",
                    "--count-only") == (0, "count=317 burnside=317 agree=true\n")
         assert run("--manifest", path, "--budget", str(nodes - 1), "enumerate", "4", "4",
                    "2", "--count-only") == (4, "")
         assert json.loads(open(path).read())["nodes"] == nodes
 
-    @pytest.mark.parametrize("workers,nodes", [("1", 12670), ("2", 8772 + 12670)],
+    @pytest.mark.parametrize("workers,nodes", [("1", 10253), ("2", 5769 + 10253)],
                              ids=["1", "2"])
     def test_budget_overrun_inside_partition_keeps_finished_nodes(self, tmp_path, workers,
                                                                   nodes):
-        # Partition 000 finishes with 8,772 nodes.  One worker caps 001 at the
-        # 3,897 nodes left, so the run stops at the budget + 1; a pool caps it
-        # at the whole budget, and it overruns at 12,670 of its own.
+        # Partition 000 finishes with 5,769 nodes.  One worker caps 001 at the
+        # 4,483 nodes left, so the run stops at the budget + 1; a pool caps it
+        # at the whole budget, and it overruns at 10,253 of its own.
         path = str(tmp_path / "m.json")
-        code, out = run("--manifest", path, "--budget", "12669", "enumerate", "4", "3", "3",
+        code, out = run("--manifest", path, "--budget", "10252", "enumerate", "4", "3", "3",
                         "--workers", workers)
         assert code == 4 and out.startswith("4 3 3\n0 0 0\n")
         assert json.loads(open(path).read())["nodes"] == nodes

@@ -11,7 +11,7 @@ from canonmat import (BudgetExceededError, IntegrityError, Matrix,
                       orbit_size, pruned_canonical_form)
 from canonmat.enumeration import canonical_first_rows
 from conftest import (SWEEP_SHAPES, all_matrices, brute_orbit_size,
-                      canonical_form, matrices)
+                      canonical_form, matrices, naive_minimum)
 
 
 class TestBurnside:
@@ -132,13 +132,13 @@ class TestEnumerate:
 # of the benchmark's census.  The leaf tests used 6,940, 10,574, 63,933 and
 # 95,027 nodes as full canonical-form searches, and 4,885, 5,142, 41,107 and
 # 55,409 as early-exit searches on every leaf.
-CENSUS_NODES = {(3, 3, 3): (1852, 3480), (4, 4, 2): (2209, 2380),
-                (4, 3, 3): (15786, 29682), (3, 4, 3): (22615, 26793)}
+CENSUS_NODES = {(3, 3, 3): (1302, 3379), (4, 4, 2): (874, 2154),
+                (4, 3, 3): (8154, 25513), (3, 4, 3): (10675, 25597)}
 
 # Leaf tests that reach the search engine, of all leaf tests, per shape: the
 # rest are not semi-canonical and fail with no search node.
-CENSUS_LEAF_TESTS = {(3, 3, 3): (994, 1687), (4, 4, 2): (520, 1818),
-                     (4, 3, 3): (8419, 13934), (3, 4, 3): (7571, 21913)}
+CENSUS_LEAF_TESTS = {(3, 3, 3): (902, 1137), (4, 4, 2): (431, 629),
+                     (4, 3, 3): (6154, 6852), (3, 4, 3): (6651, 9973)}
 
 
 class TestCensus:
@@ -177,6 +177,31 @@ class TestCensus:
         assert result.nodes == placed + leaf_tests
         searched = sum(1 for nodes in leaf_nodes if nodes)
         assert (searched, len(leaf_nodes)) == CENSUS_LEAF_TESTS[shape]
+
+    @pytest.mark.parametrize("shape", [(3, 3, 2), (3, 3, 3), (4, 4, 2), (4, 3, 2)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_every_backjump_refutes_its_prefix(self, shape, monkeypatch):
+        real = enumeration.is_minimal
+        n, m, p = shape
+        refuted = set()
+
+        def recording(a, budget=None):
+            # Leaves come in ascending order, so the enumerator has unwound
+            # past every prefix refuted so far iff none of them starts this one.
+            assert not any(a.rows[:k] in refuted for k in range(1, n + 1))
+            result = real(a, budget=budget)
+            if not result.minimal:
+                refuted.add(a.rows[:result.prefix])
+            return result
+
+        monkeypatch.setattr(enumeration, "is_minimal", recording)
+        assert census(*shape).agree
+        assert any(len(rows) < n for rows in refuted)
+        for rows in refuted:
+            assert naive_minimum(Matrix(len(rows), m, p, rows)) < rows
+
+    def test_pinned_nodes_five_by_five(self):
+        assert census(5, 5, 2).nodes == 68091
 
     def test_orbit_sums_come_from_the_leaf_tests(self):
         counters = {}

@@ -34,6 +34,12 @@ PINNED_AUT = ([(f"identity{n}", identity_matrix(n), math.factorial(n)) for n in 
                  ("sylvester32", sylvester(32), 9_999_360)])
 
 
+def unsorted_prefix(a):
+    """Length of the shortest row prefix of `a` that is not semi-canonical."""
+    return next(k for k in range(1, a.n + 1)
+                if not is_semi_canonical(Matrix(k, a.m, a.p, a.rows[:k])))
+
+
 def sorted_row_matrices(n, m, p):
     """Every n x m matrix over {0..p-1} whose rows ascend."""
     rows = itertools.product(range(p), repeat=m)
@@ -198,7 +204,7 @@ class TestIsMinimal:
             if list(rows) != sorted(rows):
                 samples.append(Matrix(n, m, p, rows))
         for a in samples:
-            assert is_minimal(a, budget=0) == MinimalityResult(False, None, 0)
+            assert is_minimal(a, budget=0) == MinimalityResult(False, None, 0, unsorted_prefix(a))
 
     @pytest.mark.parametrize("shape", SWEEP_SHAPES, ids=lambda s: "x".join(map(str, s)))
     def test_unsorted_columns_fail_at_once(self, shape):
@@ -208,7 +214,7 @@ class TestIsMinimal:
             if all(x <= y for x, y in zip(cols, cols[1:])):
                 continue
             screened += 1
-            assert is_minimal(a, budget=0) == MinimalityResult(False, None, 0)
+            assert is_minimal(a, budget=0) == MinimalityResult(False, None, 0, unsorted_prefix(a))
             assert pruned_canonical_form(a).canonical != a
         assert screened
 
@@ -230,6 +236,40 @@ class TestIsMinimal:
         test = is_minimal(minimum)
         assert test.minimal
         assert test.aut_order == pruned_canonical_form(a).aut_order
+
+    # One hand-made rejection of each kind and the prefix it refutes.
+    # columns: columns 1, 2 descend from row 1 on, columns 0, 1 from row 2.
+    # tied: rows 1 and 2 both sort to 0001 against row 0's 0011; row 1
+    # comes first.  tied-copies: the block is row 1 twice, 01 01 against
+    # 02 10, and its first copy already falls below.  discrete: after rows
+    # 1 and 0, row 2 reads 101 under the column order 0, 2, 1 against 110.
+    REFUTED_PREFIXES = [
+        ("columns", ((0, 0, 0), (1, 1, 0), (2, 1, 2)), 3, 0, 2),
+        ("tied", ((0, 0, 1, 1), (0, 1, 0, 0), (1, 0, 0, 0)), 2, 1, 2),
+        ("tied-copies", ((0, 2), (1, 0), (1, 0)), 3, 1, 2),
+        ("discrete", ((0, 0, 1), (0, 1, 0), (1, 1, 0), (1, 1, 0)), 2, 6, 3),
+    ]
+
+    @pytest.mark.parametrize("rows,p,nodes,prefix", [case[1:] for case in REFUTED_PREFIXES],
+                             ids=[case[0] for case in REFUTED_PREFIXES])
+    def test_rejection_names_the_prefix_it_refutes(self, rows, p, nodes, prefix):
+        a = Matrix(len(rows), len(rows[0]), p, rows)
+        assert is_minimal(a) == MinimalityResult(False, None, nodes, prefix)
+        refuted = Matrix(prefix, a.m, p, rows[:prefix])
+        assert naive_minimum(refuted) < refuted.rows
+        # One row fewer is a class minimum, so the prefix is the shortest.
+        shorter = Matrix(prefix - 1, a.m, p, rows[:prefix - 1])
+        assert naive_minimum(shorter) == shorter.rows
+
+    @given(matrices(max_n=5, max_m=5))
+    @settings(max_examples=200, deadline=None)
+    def test_refuted_prefix_is_not_a_class_minimum(self, a):
+        for b in (a, Matrix(a.n, a.m, a.p, tuple(sorted(a.rows)))):
+            test = is_minimal(b)
+            assert (test.prefix is None) == test.minimal
+            if not test.minimal:
+                refuted = Matrix(test.prefix, b.m, b.p, b.rows[:test.prefix])
+                assert naive_minimum(refuted) < refuted.rows
 
     @pytest.mark.parametrize("name", sorted(PINNED_NODES))
     def test_symmetric_minimum_stays_cheap(self, name):
