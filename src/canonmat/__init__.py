@@ -2,12 +2,12 @@
 
 Every record the package returns is an immutable named tuple: Matrix,
 RowCode (alias ColCode), Permutation, PermPair, CanonResult,
-MinimalityResult, RowStats, and CanonicityReport with its ConditionResult
-entries.  Each is equal by value, hashable and picklable, unpacks into its
-fields, and compares equal to the plain tuple of them.  Matrix and
-Permutation check their fields wherever they are built, `_replace`
-included.  ClassCensus, the one mutable result, is a plain class.  None of
-them needs `dataclasses`, which keeps the import short.
+MinimalityResult, ClassCensus, RowStats, and CanonicityReport with its
+ConditionResult entries.  Each is equal by value, hashable and picklable,
+unpacks into its fields, and compares equal to the plain tuple of them.
+Matrix and Permutation check their fields wherever they are built,
+`_replace` included.  None of them needs `dataclasses`, which keeps the
+import short.
 """
 
 from .canonicity import (CanonicityReport, RowStats, condition5_transform,

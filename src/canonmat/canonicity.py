@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import le
 
-from .matrices import Matrix
+from .matrices import Matrix, encode_rows
 
 PASS = "pass"
 FAIL = "fail"
@@ -74,11 +74,23 @@ def row_stats(a: Matrix) -> RowStats:
 
 def is_semi_canonical(a: Matrix) -> bool:
     """Both the row code and the column code are nondecreasing."""
+    return not unsorted_prefix(a)
+
+
+def unsorted_prefix(a: Matrix) -> int:
+    """0 when `a` is semi-canonical, else the length of its shortest row
+    prefix that is not: the least of i + 2 for a row i above a smaller row
+    i + 1, and, for each descending column pair, one more than the first
+    row where the two differ (that row orders them)."""
     rows = a.rows
-    if not all(map(le, rows, rows[1:])):
-        return False
     cols = a.columns()
-    return all(map(le, cols, cols[1:]))
+    if all(map(le, rows, rows[1:])) and all(map(le, cols, cols[1:])):
+        return 0
+    k = next((i + 2 for i in range(a.n - 1) if rows[i] > rows[i + 1]), a.n)
+    for left, right in zip(cols, cols[1:]):
+        if left > right:
+            k = min(k, 1 + next(i for i, (x, y) in enumerate(zip(left, right)) if x != y))
+    return k
 
 
 def first_row_col_structure(a: Matrix) -> tuple[int, int]:
@@ -175,9 +187,7 @@ def is_canonical(a: Matrix) -> CanonicityReport:
     conds.append(ConditionResult(PASS, "row code nondecreasing") if sorted_rows
                  else ConditionResult(FAIL, "row code not nondecreasing"))
 
-    x1 = 0
-    for e in rows[0]:
-        x1 = x1 * p + e
+    x1 = encode_rows(a).values()[0]
     lo = (p**s - 1) // (p - 1)
     hi = p**s - 1
     if lo <= x1 <= hi:

@@ -24,9 +24,9 @@ import sys
 import time
 
 from .canonicity import is_canonical, is_semi_canonical
+from .enumeration import DEFAULT_BUDGET, census, check_arguments, run_partitions
 # perfbench/tracing.py wraps cli.enumerate_canonical by name, so it stays.
-from .enumeration import (DEFAULT_BUDGET, census, enumerate_canonical,  # noqa: F401
-                          run_partitions)
+from .enumeration import enumerate_canonical  # noqa: F401
 from .equivalence import apply, pruned_canonical_form
 from .errors import (BudgetExceededError, DigitRangeError, IntegrityError,
                      ParseError)
@@ -51,7 +51,7 @@ def _read_matrix(path: str):
 def _parse_filter(spec: str, n: int) -> tuple[int, str]:
     """The weight k of a --filter spec on order n, and its stream header.
 
-    "hadamard" is weight k = n; "weighing:K" needs 1 <= K <= n.
+    "hadamard" is weight k = n; check_arguments checks K of "weighing:K".
     """
     if spec == "hadamard":
         return n, "# predicate=hadamard"
@@ -60,8 +60,6 @@ def _parse_filter(spec: str, n: int) -> tuple[int, str]:
             k = int(spec.split(":", 1)[1])
         except ValueError:
             raise ParseError(f"bad filter spec {spec!r}") from None
-        if not 1 <= k <= n:
-            raise ParseError(f"weight k={k} outside [1, {n}]")
         return k, f"# predicate=weighing k={k}"
     raise ParseError(f"unknown filter {spec!r} (expected hadamard or weighing:K)")
 
@@ -148,17 +146,9 @@ def _run(args, out, meta: dict) -> str:
             out.write("cols: " + " ".join(str(j + 1) for j in result.witness.col.images) + "\n")
         return "canonized"
 
-    if args.n < 1 or args.m < 1 or args.p < 2:
-        raise ParseError(f"invalid shape/base n={args.n} m={args.m} p={args.p}")
+    k, header = _parse_filter(args.filter, args.n) if args.filter else (None, None)
+    check_arguments(args.n, args.m, args.p, k, args.workers)
     meta["shape"] = [args.n, args.m, args.p]
-    if args.workers < 1:
-        raise ParseError(f"--workers must be at least 1, got {args.workers}")
-    k = header = None
-    if args.filter:
-        if args.n != args.m or args.p != 3:
-            raise ParseError(f"--filter needs an n x n shape over p=3, "
-                             f"got {args.n}x{args.m} p={args.p}")
-        k, header = _parse_filter(args.filter, args.n)
     if args.count_only and k is None:
         try:
             result = census(args.n, args.m, args.p, args.budget, args.workers, counters=meta)

@@ -40,33 +40,29 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from collections.abc import Iterator
 
 from . import hadamard
 from .equivalence import is_minimal, pruned_canonical_form
-from .errors import BudgetExceededError, IntegrityError
-from .matrices import Matrix, format_matrix
+from .errors import BudgetExceededError, IntegrityError, ParseError
+from .matrices import Matrix, check_shape, format_matrix
 
 BURNSIDE_GUARD = 12
 DEFAULT_BUDGET = 10_000_000
 
 
-class ClassCensus:
+class ClassCensus(namedtuple("ClassCensus",
+                             "shape count burnside representatives nodes orbits",
+                             defaults=(None, None, 0, 0))):
     """Result of counting/streaming equivalence classes for one shape.
 
-    The one mutable record: `census` sets `burnside` once it agrees.
-    `orbits` is the sum of the class sizes n! * m! / |Aut|.
+    `burnside` is set by `census` once it agrees; `representatives` is a
+    tuple of the classes, None for a stream; `orbits` is the sum of the
+    class sizes n! * m! / |Aut|.
     """
 
-    def __init__(self, shape: tuple[int, int, int], count: int, burnside: int | None = None,
-                 representatives: list[Matrix] | None = None, nodes: int = 0,
-                 orbits: int = 0):
-        self.shape = shape
-        self.count = count
-        self.burnside = burnside
-        self.representatives = representatives
-        self.nodes = nodes
-        self.orbits = orbits
+    __slots__ = ()
 
     @property
     def agree(self) -> bool:
@@ -83,13 +79,18 @@ def canonical_first_rows(m: int, p: int,
             yield row
 
 
-def _check_arguments(n: int, m: int, p: int, weight: int | None) -> None:
-    if n < 1 or m < 1 or p < 2:
-        raise ValueError(f"invalid shape/base n={n} m={m} p={p}")
+def check_arguments(n: int, m: int, p: int, weight: int | None = None,
+                    workers: int = 1) -> None:
+    """Raise ParseError unless the arguments name a valid search: a valid
+    shape and base, a weight only on n x n over p=3 with 1 <= weight <= n,
+    and at least one worker."""
+    check_shape(n, m, p)
     if weight is not None and (n != m or p != 3):
-        raise ValueError(f"weight needs an n x n shape over p=3, got {n}x{m} p={p}")
+        raise ParseError(f"weight needs an n x n shape over p=3, got {n}x{m} p={p}")
     if weight is not None and not 1 <= weight <= n:
-        raise ValueError(f"weight k={weight} outside [1, {n}]")
+        raise ParseError(f"weight k={weight} outside [1, {n}]")
+    if workers < 1:
+        raise ParseError(f"workers must be at least 1, got {workers}")
 
 
 def enumerate_canonical(n: int, m: int, p: int, weight: int | None = None,
@@ -103,10 +104,10 @@ def enumerate_canonical(n: int, m: int, p: int, weight: int | None = None,
     `budget` caps the nodes: partial rows placed plus the search nodes of
     every leaf test.  `counters`, when passed, gets running totals: "nodes",
     "emitted" classes, and "orbits", the sum of their class sizes
-    n! * m! / |Aut|.  A bad shape, base or weight raises ValueError at the
+    n! * m! / |Aut|.  A bad shape, base or weight raises ParseError at the
     call, before any iteration.
     """
-    _check_arguments(n, m, p, weight)
+    check_arguments(n, m, p, weight)
     return _enumerate(n, m, p, weight, budget, {} if counters is None else counters,
                       canonical_first_rows(m, p, weight))
 
@@ -188,8 +189,9 @@ def run_partitions(n: int, m: int, p: int, weight: int | None = None,
     overrun stops at budget + 1 nodes; all at once in a pool.  Either way the
     run stops in the same partition, and its error counts the nodes and
     classes of the finished partitions plus those of the one that overran.
+    Invalid arguments raise ParseError first (see check_arguments).
     """
-    _check_arguments(n, m, p, weight)
+    check_arguments(n, m, p, weight, workers)
     firsts = list(canonical_first_rows(m, p, weight))
     state = {} if counters is None else counters
     state.update(workers=min(workers, len(firsts)), nodes=0)
@@ -218,7 +220,7 @@ def run_partitions(n: int, m: int, p: int, weight: int | None = None,
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     return ClassCensus(shape=(n, m, p), count=count, nodes=state["nodes"], orbits=orbits,
-                       representatives=None if text else reps)
+                       representatives=None if text else tuple(reps))
 
 
 def _partitions(k: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -264,10 +266,11 @@ def census(n: int, m: int, p: int, budget: int | None = DEFAULT_BUDGET,
 
     `workers` and `counters` as for run_partitions.  Raises IntegrityError
     (carrying the enumerated and Burnside counts) unless the count equals
-    the Burnside count and the class sizes add up to p^(n*m).  The Burnside
-    count comes first, so a shape past its guard fails before any
-    enumeration.
+    the Burnside count and the class sizes add up to p^(n*m).  The argument
+    check and then the Burnside count come first, so invalid arguments or a
+    shape past its guard fail before any enumeration.
     """
+    check_arguments(n, m, p, workers=workers)
     expected = burnside_count(n, m, p)
     result = run_partitions(n, m, p, budget=budget, workers=workers, counters=counters)
     total = p**(n * m)
@@ -276,8 +279,7 @@ def census(n: int, m: int, p: int, budget: int | None = DEFAULT_BUDGET,
             f"census disagreement at {(n, m, p)}: enumerated {result.count} classes, "
             f"burnside {expected}; their sizes sum to {result.orbits} "
             f"of {total} matrices", enumerated=result.count, expected=expected)
-    result.burnside = expected
-    return result
+    return result._replace(burnside=expected)
 
 
 def orbit_size(a: Matrix) -> int:

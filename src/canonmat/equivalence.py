@@ -36,7 +36,7 @@ import math
 from collections import Counter, namedtuple
 from operator import add
 
-from .canonicity import is_semi_canonical
+from .canonicity import unsorted_prefix
 from .errors import BudgetExceededError
 from .matrices import Matrix
 
@@ -124,18 +124,6 @@ def apply(a: Matrix, pp: PermPair) -> Matrix:
     return Matrix(n=a.n, m=a.m, p=a.p, rows=tuple(tuple(r) for r in grid))
 
 
-def _witness(order, sigma) -> PermPair:
-    # order[k] = source row placed at destination k; sigma[j] = source column
-    # placed at destination j.  Invert both to get source -> destination maps.
-    row_images = [0] * len(order)
-    for dest, src in enumerate(order):
-        row_images[src] = dest
-    col_images = [0] * len(sigma)
-    for dest, src in enumerate(sigma):
-        col_images[src] = dest
-    return PermPair(Permutation(tuple(row_images)), Permutation(tuple(col_images)))
-
-
 def pruned_canonical_form(a: Matrix, budget: int | None = None) -> CanonResult:
     """Class minimum with witness and |Aut| by row-choice partition search.
 
@@ -145,10 +133,12 @@ def pruned_canonical_form(a: Matrix, budget: int | None = None) -> CanonResult:
     """
     search, sources, _ = _search(a, budget)
     canon, ids, colors = search.best
-    order = [i for u in ids for i in sources[u]]
-    sigma = sorted(range(a.m), key=colors.__getitem__)
+    # order[k] is the source row placed at k, sigma[j] the source column
+    # placed at j; their inverses map each source to its destination.
+    order = tuple(i for u in ids for i in sources[u])
+    sigma = tuple(sorted(range(a.m), key=colors.__getitem__))
     return CanonResult(canonical=Matrix(n=a.n, m=a.m, p=a.p, rows=canon),
-                       witness=_witness(order, sigma),
+                       witness=PermPair(Permutation(order), Permutation(sigma)).inverse(),
                        aut_order=search.aut_order(), nodes=search.nodes)
 
 
@@ -188,9 +178,7 @@ def is_minimal(a: Matrix, budget: int | None = None) -> MinimalityResult:
     not its own class minimum, in one of two cases:
 
     1. `a` is not semi-canonical.  k is the length of its shortest row
-       prefix that is not semi-canonical either: the least of i + 2 for a
-       row i above a smaller row i + 1, and, for each descending column
-       pair j, j + 1, one more than the first row where the two differ.
+       prefix that is not semi-canonical either (`unsorted_prefix`).
     2. A block of the search fell below the target.  The canonical rows
        placed so far equal `a`'s first rows, and the block's first d rows
        compare below the target's next d.  Those rows come from a set S of
@@ -204,25 +192,14 @@ def is_minimal(a: Matrix, budget: int | None = None) -> MinimalityResult:
        `a`'s first |S| rows, the first |S| rows of Q.  So Q is not its
        class minimum.
     """
-    if not is_semi_canonical(a):
-        return MinimalityResult(False, None, 0, _unsorted_prefix(a.rows))
+    refuted = unsorted_prefix(a)
+    if refuted:
+        return MinimalityResult(False, None, 0, refuted)
     search, sources, depth = _search(a, budget, target=a.rows)
     if depth < 0:
         return MinimalityResult(False, None, search.nodes,
                                 1 + max(sources[u][c - 1] for u, c in search.below))
     return MinimalityResult(True, search.aut_order(), search.nodes)
-
-
-def _unsorted_prefix(rows) -> int:
-    """Length of the shortest row prefix that is not semi-canonical, for
-    rows that are not."""
-    k = next((i + 2 for i in range(len(rows) - 1) if rows[i] > rows[i + 1]), len(rows))
-    cols = list(zip(*rows))
-    for left, right in zip(cols, cols[1:]):
-        if left > right:
-            # The first row where the two columns differ orders them.
-            k = min(k, 1 + next(i for i, (x, y) in enumerate(zip(left, right)) if x != y))
-    return k
 
 
 def _search(a: Matrix, budget, target=None):

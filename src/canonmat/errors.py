@@ -6,7 +6,7 @@ parse -> 2, digit range -> 3, budget -> 4, integrity -> 5.
 
 
 class ParseError(ValueError):
-    """Input text does not conform to the matrix file format."""
+    """A matrix file or a command's arguments are malformed or invalid."""
 
 
 class DigitRangeError(ValueError):

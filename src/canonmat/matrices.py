@@ -28,10 +28,7 @@ class Matrix(namedtuple("Matrix", "n m p rows")):
     __slots__ = ()
 
     def __new__(cls, n: int, m: int, p: int, rows: tuple[tuple[int, ...], ...]):
-        if n < 1 or m < 1:
-            raise ValueError(f"matrix shape must be at least 1x1, got {n}x{m}")
-        if p < 2:
-            raise ValueError(f"base p must be >= 2, got {p}")
+        check_shape(n, m, p)
         if len(rows) != n:
             raise ValueError(f"expected {n} rows, got {len(rows)}")
         top = p - 1
@@ -56,6 +53,12 @@ class Matrix(namedtuple("Matrix", "n m p rows")):
 
     def transpose(self) -> "Matrix":
         return Matrix(n=self.m, m=self.n, p=self.p, rows=self.columns())
+
+
+def check_shape(n: int, m: int, p: int) -> None:
+    """Raise ParseError unless n, m >= 1 and p >= 2."""
+    if n < 1 or m < 1 or p < 2:
+        raise ParseError(f"invalid shape/base n={n} m={m} p={p}")
 
 
 class RowCode(namedtuple("RowCode", "width base digits")):
@@ -159,8 +162,7 @@ def parse_matrix(text: str) -> Matrix:
         n, m, p = (int(x) for x in header)
     except ValueError:
         raise ParseError(f"non-integer header field in {lines[pos]!r}") from None
-    if n < 1 or m < 1 or p < 2:
-        raise ParseError(f"invalid shape/base n={n} m={m} p={p}")
+    check_shape(n, m, p)
     rows = []
     for k in range(n):
         idx = pos + 1 + k

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import pathlib
 import re
@@ -25,6 +26,12 @@ DEMO_34 = Matrix.from_rows([(1, 0, 3, 2), (0, 2, 1, 0), (0, 1, 1, 3)], 4)
 TRIO_A = Matrix.from_rows([(0, 0, 1, 2), (0, 0, 2, 2), (0, 2, 0, 0), (1, 0, 0, 0)], 3)
 TRIO_B = Matrix.from_rows([(0, 0, 0, 2), (0, 1, 2, 0), (0, 2, 2, 0), (1, 0, 0, 0)], 3)
 TRIO_C = Matrix.from_rows([(0, 0, 0, 1), (0, 0, 2, 0), (1, 2, 0, 0), (2, 2, 0, 0)], 3)
+
+
+def read_json(path):
+    """The JSON document at `path`, read through a file that is closed."""
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def all_matrices(n, m, p):

@@ -1,6 +1,5 @@
 import concurrent.futures
 import io
-import json
 import os
 import subprocess
 import sys
@@ -12,7 +11,7 @@ from canonmat import (Matrix, apply, classify_hadamard, cli, enumeration,
 from canonmat.cli import main
 from canonmat.enumeration import canonical_first_rows
 from canonmat.equivalence import PermPair, Permutation
-from conftest import DEMO_34, TRIO_A, TRIO_B, TRIO_C
+from conftest import DEMO_34, TRIO_A, TRIO_B, TRIO_C, read_json
 
 
 def run(*argv):
@@ -96,9 +95,9 @@ class TestCanonize:
         identity = Matrix.from_rows([[int(i == j) for j in range(8)] for i in range(8)], 2)
         path, manifest = write(tmp_path, "id8.txt", identity), str(tmp_path / "m.json")
         assert run("--manifest", manifest, "--budget", "3", "canonize", path)[0] == 4
-        assert json.loads(open(manifest).read())["nodes"] == 4
+        assert read_json(manifest)["nodes"] == 4
         assert run("--manifest", manifest, "canonize", path)[0] == 0
-        assert json.loads(open(manifest).read())["nodes"] > 4
+        assert read_json(manifest)["nodes"] > 4
 
 
 class TestEnumerateAndCount:
@@ -285,6 +284,8 @@ BAD_INPUTS = [
     (["canonize", "FILE"], b"# caf\xe9\n2 2 2\n0 1\n1 0\n", 2),
     (["encode", "FILE"], b"2 2 2\n0 1\n1 \xff\n", 2),
     (["enumerate", "0", "3", "2"], None, 2),
+    (["count", "0", "2", "2"], None, 2),
+    (["enumerate", "3", "4", "3", "--filter", "hadamard"], None, 2),
     (["enumerate", "2", "2", "1", "--count-only"], None, 2),
     (["count", "2", "2", "1"], None, 2),
     (["classify-weighing", "3", "5"], None, 2),
@@ -324,8 +325,8 @@ class TestManifest:
         m1, m2 = str(tmp_path / "m1.json"), str(tmp_path / "m2.json")
         assert run("--manifest", m1, "encode", src)[0] == 0
         assert run("--manifest", m2, "encode", src)[0] == 0
-        a = json.loads(open(m1).read())
-        b = json.loads(open(m2).read())
+        a = read_json(m1)
+        b = read_json(m2)
         a.pop("elapsed_s"), b.pop("elapsed_s")
         # the recorded argv contains the differing --manifest paths
         assert a.pop("command")[2:] == b.pop("command")[2:]
@@ -339,13 +340,13 @@ class TestManifest:
                      ["enumerate", "4", "4", "3", "--filter", "hadamard"]):
             path = str(tmp_path / "m.json")
             assert run("--manifest", path, *argv)[0] == 0
-            nodes.append(json.loads(open(path).read())["nodes"])
+            nodes.append(read_json(path)["nodes"])
         assert nodes[0] == nodes[1] > 0
 
     def test_classify_library_nodes_match_cli(self, tmp_path):
         path = str(tmp_path / "m.json")
         assert run("--manifest", path, "classify-hadamard", "4")[0] == 0
-        nodes = json.loads(open(path).read())["nodes"]
+        nodes = read_json(path)["nodes"]
         assert classify_hadamard(4).nodes == nodes == 2449
 
     def test_records_processes_used(self, tmp_path):
@@ -353,23 +354,23 @@ class TestManifest:
         # a pool has one process per partition at most: 1 x 1 over p=2 has 2
         for argv in (["enumerate", "1", "1", "2"], ["enumerate", "1", "1", "2", "--count-only"]):
             assert run("--manifest", path, *argv, "--workers", "4")[0] == 0
-            assert json.loads(open(path).read())["workers"] == 2
+            assert read_json(path)["workers"] == 2
         # counts use the pool too: 3 x 3 over p=2 has 4 partitions
         assert run("--manifest", path, "enumerate", "3", "3", "2", "--count-only",
                    "--workers", "2") == (0, "count=36 burnside=36 agree=true\n")
-        assert json.loads(open(path).read())["workers"] == 2
+        assert read_json(path)["workers"] == 2
 
     def test_count_nodes_include_leaf_tests(self, tmp_path):
         # 874 rows placed and 2,154 leaf-test nodes (tests/test_enumeration.py).
         path = str(tmp_path / "m.json")
         assert run("--manifest", path, "enumerate", "4", "4", "2", "--count-only")[0] == 0
-        nodes = json.loads(open(path).read())["nodes"]
+        nodes = read_json(path)["nodes"]
         assert nodes == 3028
         assert run("--budget", str(nodes), "enumerate", "4", "4", "2",
                    "--count-only") == (0, "count=317 burnside=317 agree=true\n")
         assert run("--manifest", path, "--budget", str(nodes - 1), "enumerate", "4", "4",
                    "2", "--count-only") == (4, "")
-        assert json.loads(open(path).read())["nodes"] == nodes
+        assert read_json(path)["nodes"] == nodes
 
     @pytest.mark.parametrize("workers,nodes", [("1", 10253), ("2", 5769 + 10253)],
                              ids=["1", "2"])
@@ -382,7 +383,7 @@ class TestManifest:
         code, out = run("--manifest", path, "--budget", "10252", "enumerate", "4", "3", "3",
                         "--workers", workers)
         assert code == 4 and out.startswith("4 3 3\n0 0 0\n")
-        assert json.loads(open(path).read())["nodes"] == nodes
+        assert read_json(path)["nodes"] == nodes
 
     @pytest.mark.parametrize("shape", [("3", "3", "2"), ("4", "4", "2")], ids=["3x3x2", "4x4x2"])
     def test_count_same_at_one_and_two_workers(self, tmp_path, shape):
@@ -391,14 +392,14 @@ class TestManifest:
             path = str(tmp_path / f"m{workers}.json")
             results.append((*run("--manifest", path, "enumerate", *shape, "--count-only",
                                  "--workers", workers),
-                            json.loads(open(path).read())["nodes"]))
+                            read_json(path)["nodes"]))
         assert results[0] == results[1]
         assert results[0][0] == 0 and results[0][2] > 0
 
     def test_records_nodes(self, tmp_path):
         path = str(tmp_path / "m.json")
         assert run("--manifest", path, "count", "2", "2", "2")[0] == 0
-        manifest = json.loads(open(path).read())
+        manifest = read_json(path)
         assert manifest["nodes"] > 0
         assert manifest["result"] == "count=7"
 

@@ -1,17 +1,16 @@
 import io
 import itertools
-import json
 
 import pytest
 from hypothesis import given, settings
 
 from canonmat import (BudgetExceededError, IntegrityError, Matrix,
-                      MinimalityResult, burnside_count, census, cli,
+                      MinimalityResult, ParseError, burnside_count, census, cli,
                       enumeration, enumerate_canonical, is_weighing,
                       orbit_size, pruned_canonical_form)
 from canonmat.enumeration import canonical_first_rows
 from conftest import (SWEEP_SHAPES, all_matrices, brute_orbit_size,
-                      canonical_form, matrices, naive_minimum)
+                      canonical_form, matrices, naive_minimum, read_json)
 
 
 class TestBurnside:
@@ -150,6 +149,21 @@ class TestCensus:
         assert result.burnside == count
         assert result.agree
 
+    def test_bad_shape_fails_before_burnside(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("counted the orbits of an invalid shape")
+
+        monkeypatch.setattr(enumeration, "burnside_count", never)
+        with pytest.raises(ParseError, match=r"invalid shape/base n=-1 m=2 p=2"):
+            census(-1, 2, 2)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("runner", [census, enumeration.run_partitions],
+                             ids=["census", "run_partitions"])
+    def test_workers_below_one_raise(self, runner, workers):
+        with pytest.raises(ParseError, match=f"workers must be at least 1, got {workers}"):
+            runner(2, 2, 2, workers=workers)
+
     def test_agreement_without_anchor(self):
         # no precomputed value here: the two independent counts must match
         result = census(3, 3, 2)
@@ -229,7 +243,7 @@ class TestCensus:
             out, path = io.StringIO(), str(tmp_path / "m.json")
             assert cli.main(["--manifest", path, *argv], out=out) == 5
             assert out.getvalue() == "count=36 burnside=36 agree=false\n"
-            nodes.append(json.loads(open(path).read())["nodes"])
+            nodes.append(read_json(path)["nodes"])
         assert nodes[0] == nodes[1] > 0
 
     def test_stream_mode(self):

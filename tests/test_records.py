@@ -5,10 +5,11 @@ import pickle
 
 import pytest
 
-from canonmat import (CanonicityReport, CanonResult, DigitRangeError,
-                      Matrix, MinimalityResult, PermPair, Permutation,
-                      RowCode, RowStats, encode_rows, is_canonical,
-                      is_minimal, pruned_canonical_form, row_stats)
+from canonmat import (CanonicityReport, CanonResult, ClassCensus,
+                      DigitRangeError, Matrix, MinimalityResult, PermPair,
+                      Permutation, RowCode, RowStats, census, encode_rows,
+                      is_canonical, is_minimal, pruned_canonical_form,
+                      row_stats)
 from canonmat.canonicity import ConditionResult
 from conftest import TRIO_C
 
@@ -25,6 +26,7 @@ RECORDS = [
     (PermPair, lambda: PermPair(Permutation((1, 0)), Permutation((2, 0, 1)))),
     (CanonResult, lambda: pruned_canonical_form(TRIO_C)),
     (MinimalityResult, lambda: is_minimal(sorted_rows())),
+    (ClassCensus, lambda: census(2, 2, 2)),
     (RowStats, lambda: row_stats(TRIO_C)),
     (ConditionResult, lambda: is_canonical(TRIO_C).conditions[0]),
     (CanonicityReport, lambda: is_canonical(TRIO_C)),
