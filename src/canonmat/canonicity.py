@@ -25,7 +25,8 @@ of the first column.  On 001/011 it returns (1, 2), while t = 1.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import le
+from itertools import compress, count
+from operator import gt, le, ne
 
 from .matrices import Matrix, encode_rows
 
@@ -86,10 +87,10 @@ def unsorted_prefix(a: Matrix) -> int:
     cols = a.columns()
     if all(map(le, rows, rows[1:])) and all(map(le, cols, cols[1:])):
         return 0
-    k = next((i + 2 for i in range(a.n - 1) if rows[i] > rows[i + 1]), a.n)
+    k = next(compress(count(2), map(gt, rows, rows[1:])), a.n)
     for left, right in zip(cols, cols[1:]):
         if left > right:
-            k = min(k, 1 + next(i for i, (x, y) in enumerate(zip(left, right)) if x != y))
+            k = min(k, 1 + next(compress(count(), map(ne, left, right))))
     return k
 
 
@@ -143,26 +144,15 @@ def condition5_transform(a: Matrix, i: int) -> Matrix:
     if nu_i != s:
         raise ValueError(f"row {i} has {nu_i} nonzero entries, expected s={s}")
 
-    block = [row for row in rows if row == rows[i]]
-    others = [row for row in rows if row != rows[i]]
-    a1 = block + others
-
-    if s == a.m:
-        a2 = a1
-    else:
-        moved = [j for j in range(a.m) if a1[0][j] != 0]
-        kept = [j for j in range(a.m) if j not in moved]
-        order = kept + moved
-        a2 = [tuple(row[j] for j in order) for row in a1]
-
-    head_w = a.m - s
-    tail_cols = sorted(zip(*(row[head_w:] for row in a2))) if s else []
+    a1 = [row for row in rows if row == rows[i]] + [row for row in rows if row != rows[i]]
+    # A stable sort keeps both the zero and the nonzero columns in order.
+    order = sorted(range(a.m), key=lambda j: a1[0][j] != 0)
+    a2 = [tuple(row[j] for j in order) for row in a1]
     if s:
-        tail_rows = list(zip(*tail_cols))
-        a3 = [row[:head_w] + tuple(tr) for row, tr in zip(a2, tail_rows)]
-    else:
-        a3 = list(a2)
-    return Matrix(n=a.n, m=a.m, p=a.p, rows=tuple(tuple(r) for r in a3))
+        head = a.m - s
+        tails = zip(*sorted(zip(*(row[head:] for row in a2))))
+        a2 = [row[:head] + tail for row, tail in zip(a2, tails)]
+    return Matrix(n=a.n, m=a.m, p=a.p, rows=tuple(a2))
 
 
 def is_canonical(a: Matrix) -> CanonicityReport:

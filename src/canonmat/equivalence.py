@@ -6,23 +6,13 @@ whose row code is lexicographically minimal.
 
 One search engine, `_RowSearch`, runs in two modes.  Its minimum mode,
 `pruned_canonical_form`, is behind canonize and `equivalent`; its
-minimality mode, `is_minimal`, is the enumerator's leaf test.  A class
-minimum is semi-canonical (rows and columns both nondecreasing), so
-`is_minimal` rejects any other matrix before the search, with no node
-spent.  The search builds the minimum row by row.  The placed rows split
-the columns into ordered cells; the next canonical row is the least, over
-the unplaced rows, of the row's digits sorted within each cell, and placing
-it splits every cell by digit value.  The search branches only on rows
-whose keys tie, places rows of identical content once, cuts prefixes that
-already compare greater than the incumbent, and skips tied rows that an
-automorphism found so far maps onto an explored sibling; two equal leaves
-give such an automorphism (after McKay and Piperno, *Practical graph
-isomorphism II*, J. Symb. Comput. 2014).  The orbit sizes along the first
-path give |Aut| as a by-product.  In minimality mode the candidate's own
-rows are the incumbent from the root, so the first prefix below them ends
-the search with "not minimal", and every leaf reached equals the candidate
-(after the "is canonical?" tests of Kaski and Östergård, *Classification
-Algorithms for Codes and Designs*, 2006).  A "not minimal" also names the
+minimality mode, `is_minimal`, is the enumerator's leaf test.  It builds
+the minimum row by row, refining ordered column cells, and prunes with the
+automorphisms it finds (after McKay and Piperno, *Practical graph
+isomorphism II*, J. Symb. Comput. 2014); |Aut| comes as a by-product.  In
+minimality mode the candidate's own rows are the incumbent from the root,
+as in the "is canonical?" tests of Kaski and Östergård, *Classification
+Algorithms for Codes and Designs*, 2006.  A "not minimal" also names the
 shortest leading row block of the candidate it rests on, which the
 enumerator unwinds to.
 
@@ -33,8 +23,9 @@ The permutations, witness pairs and both search results are named tuples;
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
-from operator import add
+from collections import namedtuple
+from itertools import compress, count
+from operator import add, ne
 
 from .canonicity import unsorted_prefix
 from .errors import BudgetExceededError
@@ -131,11 +122,11 @@ def pruned_canonical_form(a: Matrix, budget: int | None = None) -> CanonResult:
     the class of `a`, for any width.  Each search node is charged against `budget`; running out
     raises BudgetExceededError carrying the node count.
     """
-    search, sources, _ = _search(a, budget)
+    search, _ = _search(a, budget)
     canon, ids, colors = search.best
     # order[k] is the source row placed at k, sigma[j] the source column
     # placed at j; their inverses map each source to its destination.
-    order = tuple(i for u in ids for i in sources[u])
+    order = tuple(i for u in ids for i, row in enumerate(a.rows) if row == search.rows[u])
     sigma = tuple(sorted(range(a.m), key=colors.__getitem__))
     return CanonResult(canonical=Matrix(n=a.n, m=a.m, p=a.p, rows=canon),
                        witness=PermPair(Permutation(order), Permutation(sigma)).inverse(),
@@ -195,32 +186,36 @@ def is_minimal(a: Matrix, budget: int | None = None) -> MinimalityResult:
     refuted = unsorted_prefix(a)
     if refuted:
         return MinimalityResult(False, None, 0, refuted)
-    search, sources, depth = _search(a, budget, target=a.rows)
+    search, depth = _search(a, budget, target=a.rows)
     if depth < 0:
+        # The rows ascend, so row ids do too, and the copies of a row are
+        # consecutive: the largest index in S is the last copy of its largest id.
+        u, copies = max(search.below)
         return MinimalityResult(False, None, search.nodes,
-                                1 + max(sources[u][c - 1] for u, c in search.below))
+                                a.rows.index(search.rows[u]) + copies)
     return MinimalityResult(True, search.aut_order(), search.nodes)
 
 
 def _search(a: Matrix, budget, target=None):
-    """Run the row search on `a`: (search, source rows of each distinct
-    row, the depth the root returned, -1 if a prefix fell below `target`)."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, row in enumerate(a.rows):
-        groups.setdefault(row, []).append(i)
-    sources = list(groups.values())
-    search = _RowSearch(list(groups), list(map(len, sources)), a.p, budget, target)
-    depth = search.node((), [], (0,) * a.m, 1, tuple(range(len(sources))), 0, False)
-    return search, sources, depth
+    """Run the row search on `a`: (search, the depth the root returned, -1 if
+    a prefix fell below `target`).  Row ids number distinct rows as they come."""
+    mult: dict[tuple[int, ...], int] = {}
+    for row in a.rows:
+        mult[row] = mult.get(row, 0) + 1
+    search = _RowSearch(list(mult), list(mult.values()), a.p, budget, target)
+    depth = search.node((), [], (0,) * a.m, 1, tuple(range(len(mult))), 0, False)
+    return search, depth
 
 
 class _RowSearch:
     """Depth-first search over the order in which distinct rows are placed.
 
     A node is the sequence of distinct rows placed so far together with the
-    ordered column cells they induce.  Column j lies in the cell of rank
-    colors[j] // p, so sorting a row's values colors[j] + row[j] sorts its
-    digits within each cell, cells in order: that is the row's key.  The
+    ordered column cells they induce.  colors[j] is p times column j read
+    down the rows placed so far as a base-p numeral.  Columns of one color
+    form a cell, and cells go in color order, so sorting a row's values
+    colors[j] + row[j] sorts its digits within each cell, cells in order:
+    that is the row's key.  The
     children of a node are the unplaced rows whose (key, -multiplicity) is
     least.  All of them append the same canonical rows, so the prefix
     comparisons against the incumbent (`best`) and the first leaf are made
@@ -237,12 +232,13 @@ class _RowSearch:
     row ids ascend with the target's row indices.
     """
 
-    __slots__ = ("rows", "mult", "p", "budget", "nodes", "first", "best",
+    __slots__ = ("rows", "mult", "n", "p", "budget", "nodes", "first", "best",
                  "stop_below", "below", "best_version", "generators", "orbit_product")
 
     def __init__(self, rows, mult, p, budget, target=None):
         self.rows = rows
         self.mult = mult
+        self.n = sum(mult)
         self.p = p
         self.budget = math.inf if budget is None else budget
         self.nodes = 0
@@ -258,7 +254,9 @@ class _RowSearch:
         """Search below one node; returns the depth the search unwinds to.
 
         `cells` is the number of column cells, the distinct values of
-        `colors`.  `rel` compares `canon` with the same rows of `best` (-1,
+        `colors`.  One pass over the unplaced rows finds the least key, the
+        most copies among the rows with that key, and the rows with both:
+        the children.  `rel` compares `canon` with the same rows of `best` (-1,
         0, +1) and `eq_first` says whether it equals the first leaf's
         prefix; each is meaningless while there is no `best`, respectively
         no first leaf.  A chain of nodes with one child each is walked in a
@@ -280,43 +278,53 @@ class _RowSearch:
             if discrete:
                 # Every cell is one column, so no two keys tie: the unplaced
                 # rows follow in ascending order, all in one step.
-                col_order = sorted(range(len(colors)), key=colors.__getitem__)
-                placed = sorted((tuple(map(rows[u].__getitem__, col_order)), u)
-                                for u in remaining)
-                block = tuple(key for key, u in placed for _ in range(mult[u]))
+                col_order = sorted(range(cells), key=colors.__getitem__)
+                block, order = zip(*sorted([(tuple(map(rows[u].__getitem__, col_order)), u)
+                                            for u in remaining]))
+                if len(block) < self.n - len(canon):  # some row has copies
+                    block = tuple([key for key, u in zip(block, order)
+                                   for _ in range(mult[u])])
             else:
-                keys = [(sorted(map(add, colors, rows[u])), -mult[u]) for u in remaining]
-                least = min(keys)
-                tied = [u for u, key in zip(remaining, keys) if key == least]
-                block = (tuple([v % p for v in least[0]]),) * -least[1]
+                least, most, tied = [math.inf], 0, None  # [inf] is above every key
+                for u in remaining:
+                    key = sorted(map(add, colors, rows[u]))
+                    if key > least or key == least and mult[u] < most:
+                        continue
+                    if key == least and mult[u] == most:
+                        tied.append(u)
+                    else:
+                        least, most, tied = key, mult[u], [u]
+                block = (tuple([v % p for v in least]),) * most
             if self.best is not None:
                 k = len(canon)
                 if rel == 0:
                     best_block = self.best[0][k:k + len(block)]
-                    rel = (block > best_block) - (block < best_block)
-                eq_first = eq_first and block == self.first[0][k:k + len(block)]
+                    if block != best_block:
+                        rel = 1 if block > best_block else -1
+                # While `best` is the first leaf, rel == 0 says the block
+                # matches that leaf too.
+                if eq_first and (rel or self.best is not self.first):
+                    eq_first = block == self.first[0][k:k + len(block)]
                 if rel > 0 and not eq_first:
                     del canon[start:]
                     return len(ids)
                 if rel < 0 and self.stop_below:
                     del canon[start:]
                     self.below = self._rows_below(
-                        ids, [u for _, u in placed] if discrete else [min(tied)],
-                        block, best_block)
+                        ids, order if discrete else [min(tied)], block, best_block)
                     return -1
             canon += block
             if discrete:
-                ids += tuple(u for _, u in placed)
+                ids += order
                 remaining = ()
                 continue
             # Split every cell by the chosen row's digit, smaller digits first.
-            rank = {v: i * p for i, v in enumerate(dict.fromkeys(least[0]))}
-            cells = len(rank)
+            cells = len(set(least))
             if len(tied) > 1:
                 break
             u = tied[0]
             ids += (u,)
-            colors = tuple(map(rank.__getitem__, map(add, colors, rows[u])))
+            colors = tuple([v * p for v in map(add, colors, rows[u])])
             i = remaining.index(u)
             remaining = remaining[:i] + remaining[i + 1:]
         depth = len(ids)
@@ -334,7 +342,7 @@ class _RowSearch:
             explored.append(u)
             version = self.best_version
             target = self.node(ids + (u,), canon,
-                               tuple(map(rank.__getitem__, map(add, colors, rows[u]))),
+                               tuple([v * p for v in map(add, colors, rows[u])]),
                                cells, tuple(x for x in remaining if x != u), rel, eq_first)
             if target < depth:
                 del canon[start:]
@@ -354,7 +362,7 @@ class _RowSearch:
         """(row id, copies) of every row a block below the target rests on:
         all copies of the rows placed, then the rows of `order` that give the
         block up to the first position where it differs from `best_block`."""
-        d = next(i for i, (x, y) in enumerate(zip(block, best_block)) if x != y)
+        d = next(compress(count(), map(ne, block, best_block)))
         below = [(u, self.mult[u]) for u in ids]
         for u in order:
             copies = min(self.mult[u], d + 1)
@@ -368,8 +376,11 @@ class _RowSearch:
         """|Aut| once the search is done and has a leaf."""
         # The columns of a final cell are identical, as are the rows of a group.
         aut = self.orbit_product
-        for size in self.mult + list(Counter(self.best[2]).values()):
+        for size in self.mult:
             aut *= math.factorial(size)
+        colors = self.best[2]
+        for color in set(colors):
+            aut *= math.factorial(colors.count(color))
         return aut
 
     def _leaf(self, ids, canon, colors, rel, eq_first) -> int:

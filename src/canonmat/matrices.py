@@ -146,6 +146,8 @@ def parse_matrix(text: str) -> Matrix:
     """Parse the matrix text format.
 
     Line 1 holds `n m p`; the next n lines hold m space-separated digits.
+    Every field is an ASCII decimal numeral, and a row entry may start with
+    `-`: int() alone would also take `+`, `_` and non-ASCII digits.
     `#`-prefixed lines and blank lines are ignored before the header and
     after the last row; any other line after the last row is an error.
     """
@@ -158,10 +160,9 @@ def parse_matrix(text: str) -> Matrix:
     header = lines[pos].split()
     if len(header) != 3:
         raise ParseError(f"header must be 'n m p', got {lines[pos]!r}")
-    try:
-        n, m, p = (int(x) for x in header)
-    except ValueError:
-        raise ParseError(f"non-integer header field in {lines[pos]!r}") from None
+    if not all(x.isascii() and x.isdigit() for x in header):
+        raise ParseError(f"non-integer header field in {lines[pos]!r}")
+    n, m, p = map(int, header)
     check_shape(n, m, p)
     rows = []
     for k in range(n):
@@ -171,11 +172,9 @@ def parse_matrix(text: str) -> Matrix:
         fields = lines[idx].split()
         if len(fields) != m:
             raise ParseError(f"row {k + 1}: expected {m} entries, got {len(fields)}")
-        try:
-            row = tuple(int(x) for x in fields)
-        except ValueError:
-            raise ParseError(f"row {k + 1}: non-integer entry") from None
-        rows.append(row)
+        if not all(x.isascii() and x.removeprefix("-").isdigit() for x in fields):
+            raise ParseError(f"row {k + 1}: non-integer entry")
+        rows.append(tuple(map(int, fields)))
     if content[-1] > pos + n:
         extra = next(k for k in content if k > pos + n)
         raise ParseError(f"unexpected line after the {n} rows: {lines[extra]!r}")

@@ -297,6 +297,14 @@ BAD_INPUTS = [
     (["enumerate", "3", "3", "3", "--filter", "weighing:5"], None, 2),
     (["enumerate", "3", "3", "3", "--filter", "weighing:5", "--count-only"], None, 2),
     (["check", "FILE"], b"1 2 2\n0 1\n9 9 9\n", 2),
+    # Numerals int() takes and the format does not; the arguments differ
+    # only to keep the test ids apart.
+    (["canonize", "FILE", "--witness"], b"1 1 12\n1_1\n", 2),
+    (["check", "FILE", "--report"], b"1 1 +2\n1\n", 2),
+    (["--budget", "0", "check", "FILE"], "1 1 \u0663\n1\n".encode(), 2),
+    (["--budget", "0", "canonize", "FILE"], "1 1 \uff12\n1\n".encode(), 2),
+    (["--budget", "0", "encode", "FILE"], "1 1 2\n\u0661\n".encode(), 2),
+    (["--budget", "1", "encode", "FILE"], b"1 1 2\n-1\n", 3),
     (["enumerate", "2", "2", "2", "--workers", "0"], None, 2),
     (["--budget", "-1", "canonize", "FILE"], b"2 2 2\n0 1\n1 0\n", 2),
     (["--manifest", "/nonexistent/dir/m.json", "count", "2", "2", "2"], None, 2),

@@ -107,6 +107,10 @@ class TestTextFormat:
         "2 2 2\n0 1\n", "2 2 2\n0 1 1\n1 0\n", "2 2 2\n0 x\n1 0\n",
         "2 2 1\n0 0\n0 0\n", "0 2 2\n",
         "1 2 2\n0 1\n9 9 9\n", "2 2 2\n0 1\n1 0\n\n1 1\n", "1 1 2\n1\n# x\nend\n",
+        # int() takes these, the format does not: only ASCII decimal numerals,
+        # with a leading - allowed on a row entry.
+        "1 1 12\n1_1\n", "1 1 +2\n1\n", "1 1 \u0663\n1\n", "1 1 \uff12\n1\n",
+        "1 1 2\n+1\n", "1 1 2\n\u0661\n", "1 1 2\n-\n", "1 1 2\n--1\n", "-1 1 2\n0\n",
     ])
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
@@ -125,7 +129,7 @@ class TestTextFormat:
         st.lists(st.one_of(
             st.sampled_from(["", "# c", "2 2 2", "1 1 3", "0 1", "1 0", "9 9 9",
                              "2", "-1 0", "x", " 1  2 "]),
-            st.text(alphabet="0123456789 -#\t\r\x0c", max_size=8)),
+            st.text(alphabet="0123456789 -+_\u0663#\t\r\x0c", max_size=8)),
             max_size=6).map("\n".join)))
     def test_any_text_parses_or_raises_documented_error(self, text):
         try:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 
@@ -140,6 +141,28 @@ CENSUS_LEAF_TESTS = {(3, 3, 3): (902, 1137), (4, 4, 2): (431, 629),
                      (4, 3, 3): (6154, 6852), (3, 4, 3): (6651, 9973)}
 
 
+# Every leaf test of the census in order, as the first 16 hex digits of
+# sha256(repr([(a.rows, tuple(result)), ...])): a change to the engine that
+# keeps the totals above but moves a single verdict, |Aut|, node count or
+# refuted prefix changes it.
+CENSUS_LEAF_DIGESTS = {(3, 3, 3): "175e1cac53868ff7", (4, 4, 2): "5ca142308263e6fa",
+                       (4, 3, 3): "6fb9b9aad80e6cca", (3, 4, 3): "044c102328271a46"}
+
+
+def recorded_leaf_tests(shape, monkeypatch):
+    """Run census(*shape), recording (a, result) of every leaf test."""
+    real = enumeration.is_minimal
+    tests = []
+
+    def recording(a, budget=None):
+        result = real(a, budget=budget)
+        tests.append((a, result))
+        return result
+
+    monkeypatch.setattr(enumeration, "is_minimal", recording)
+    return census(*shape), tests
+
+
 class TestCensus:
     @pytest.mark.parametrize("shape,count", [((2, 2, 2), 7), ((1, 2, 2), 3),
                                              ((2, 2, 3), 27), ((3, 3, 2), 36)])
@@ -176,21 +199,21 @@ class TestCensus:
 
     @pytest.mark.parametrize("shape", sorted(CENSUS_NODES), ids=lambda s: "x".join(map(str, s)))
     def test_pinned_nodes(self, shape, monkeypatch):
-        real = enumeration.is_minimal
-        leaf_nodes = []
-
-        def recording(a, budget=None):
-            result = real(a, budget=budget)
-            leaf_nodes.append(result.nodes)
-            return result
-
-        monkeypatch.setattr(enumeration, "is_minimal", recording)
-        result = census(*shape)
+        result, tests = recorded_leaf_tests(shape, monkeypatch)
+        leaf_nodes = [test.nodes for _, test in tests]
         placed, leaf_tests = CENSUS_NODES[shape]
         assert sum(leaf_nodes) == leaf_tests
         assert result.nodes == placed + leaf_tests
         searched = sum(1 for nodes in leaf_nodes if nodes)
         assert (searched, len(leaf_nodes)) == CENSUS_LEAF_TESTS[shape]
+
+    @pytest.mark.parametrize("shape", sorted(CENSUS_LEAF_DIGESTS),
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_every_leaf_test_is_pinned(self, shape, monkeypatch):
+        _, tests = recorded_leaf_tests(shape, monkeypatch)
+        record = repr([(a.rows, tuple(test)) for a, test in tests])
+        assert len(tests) == CENSUS_LEAF_TESTS[shape][1]
+        assert hashlib.sha256(record.encode()).hexdigest()[:16] == CENSUS_LEAF_DIGESTS[shape]
 
     @pytest.mark.parametrize("shape", [(3, 3, 2), (3, 3, 3), (4, 4, 2), (4, 3, 2)],
                              ids=lambda s: "x".join(map(str, s)))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -32,6 +33,20 @@ PINNED_AUT = ([(f"identity{n}", identity_matrix(n), math.factorial(n)) for n in 
                  ("sylvester8", sylvester(8), 168),
                  ("sylvester16", sylvester(16), 20_160),
                  ("sylvester32", sylvester(32), 9_999_360)])
+
+# pruned_canonical_form over every PINNED_AUT matrix and its shuffled copy,
+# in order, as the first 16 hex digits of
+# sha256(repr([(canonical rows, witness, aut_order, nodes), ...])).
+PINNED_AUT_DIGEST = "b01ebaafc560009f"
+
+
+def shuffled(name, a):
+    """A row/column-permuted copy of `a`, the same for the same name."""
+    rng = random.Random(name)
+    rho, sigma = list(range(a.n)), list(range(a.m))
+    rng.shuffle(rho)
+    rng.shuffle(sigma)
+    return apply(a, PermPair(Permutation(tuple(rho)), Permutation(tuple(sigma))))
 
 
 def unsorted_prefix(a):
@@ -162,13 +177,8 @@ class TestPrunedCanonicalForm:
 
     @pytest.mark.parametrize("name,a,order", PINNED_AUT, ids=[c[0] for c in PINNED_AUT])
     def test_pinned_automorphism_group_order(self, name, a, order):
-        rng = random.Random(name)
-        rho, sigma = list(range(a.n)), list(range(a.m))
-        rng.shuffle(rho)
-        rng.shuffle(sigma)
-        copy = apply(a, PermPair(Permutation(tuple(rho)), Permutation(tuple(sigma))))
         results = []
-        for b in (a, copy):
+        for b in (a, shuffled(name, a)):
             res = pruned_canonical_form(b, budget=1_000)
             assert res.aut_order == order
             assert apply(b, res.witness) == res.canonical
@@ -179,6 +189,14 @@ class TestPrunedCanonicalForm:
             assert exc.value.nodes == res.nodes
             results.append(res)
         assert results[0].canonical == results[1].canonical
+
+    def test_pinned_searches(self):
+        record = []
+        for name, a, _ in PINNED_AUT:
+            for b in (a, shuffled(name, a)):
+                res = pruned_canonical_form(b)
+                record.append((res.canonical.rows, res.witness, res.aut_order, res.nodes))
+        assert hashlib.sha256(repr(record).encode()).hexdigest()[:16] == PINNED_AUT_DIGEST
 
 
 class TestIsMinimal:
