@@ -97,31 +97,15 @@ def unsorted_prefix(a: Matrix) -> int:
 def first_row_col_structure(a: Matrix) -> tuple[int, int]:
     """(s, z) for a semi-canonical matrix.
 
-    s counts the trailing nonzero entries of the first row, z the leading
-    zeros of the first column.  z is not the module's t (rows equal to the
-    first row): on 001/011 this returns (1, 2), where t = 1.  Verifies the
-    guaranteed shape: zeros, then nondecreasing nonzero digits, in both the
-    first row and first column.
+    s counts the nonzero entries of the first row, z the zeros of the first
+    column.  z is not the module's t (rows equal to the first row): on
+    001/011 this returns (1, 2), where t = 1.  Both lines are nondecreasing,
+    so each is zeros followed by nonzeros: s counts the trailing nonzeros of
+    the row, z the leading zeros of the column.
     """
     if not is_semi_canonical(a):
         raise ValueError("first_row_col_structure requires a semi-canonical matrix")
-    first_row = a.rows[0]
-    first_col = tuple(row[0] for row in a.rows)
-    s = _checked_zero_prefix_shape(first_row)
-    t_nonzero = _checked_zero_prefix_shape(first_col)
-    return s, len(first_col) - t_nonzero
-
-
-def _checked_zero_prefix_shape(seq: tuple[int, ...]) -> int:
-    """Nonzero-suffix length of a (zeros..., nondecreasing nonzeros...) vector."""
-    k = 0
-    while k < len(seq) and seq[k] == 0:
-        k += 1
-    tail = seq[k:]
-    if any(e == 0 for e in tail) or any(tail[i] > tail[i + 1] for i in range(len(tail) - 1)):
-        # Guaranteed for semi-canonical inputs; reaching here is a bug.
-        raise RuntimeError(f"unexpected first-line shape {seq} on semi-canonical input")
-    return len(tail)
+    return a.m - a.rows[0].count(0), [row[0] for row in a.rows].count(0)
 
 
 def condition5_transform(a: Matrix, i: int) -> Matrix:

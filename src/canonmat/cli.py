@@ -6,14 +6,15 @@ Commands: encode, check, canonize, enumerate.  The shorthands `count N M P`,
 `enumerate N N 3 --filter weighing:K`, and run through the same handler.
 Every enumeration goes through `enumeration.run_partitions` (unfiltered
 counts through `census`, which adds its oracles) with `--workers`; the
-manifest's `workers` is the number of processes used.  Exit codes, mapped
-from exception types in one table: 0 success (verdicts are data, not
-failures), 2 parse error, 3 digit out of range, 4 budget exceeded, 5
-integrity failure.  A `--manifest` path that cannot be written exits 2
-before the command runs; `json` is loaded only to write a manifest.  A
-reader that closes stdout early ends the run quietly, with 0.  All output
-is byte-deterministic for fixed inputs and budgets, including multi-worker
-enumeration.
+manifest's `workers` is the number of processes used.  Every number in
+the arguments, K included, is read by `matrices.numeral`, as in matrix
+files.  Exit codes, mapped from exception types in one table: 0 success
+(verdicts are data, not failures), 2 parse error, 3 digit out of range, 4
+budget exceeded, 5 integrity failure.  A `--manifest` path that cannot be
+written exits 2 before the command runs; `json` is loaded only to write a
+manifest.  A reader that closes stdout early ends the run quietly, with 0.
+All output is byte-deterministic for fixed inputs and budgets, including
+multi-worker enumeration.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .enumeration import enumerate_canonical  # noqa: F401
 from .equivalence import apply, pruned_canonical_form
 from .errors import (BudgetExceededError, DigitRangeError, IntegrityError,
                      ParseError)
-from .matrices import (encode_cols, encode_rows, format_matrix, parse_matrix)
+from .matrices import encode_cols, encode_rows, format_matrix, numeral, parse_matrix
 
 
 def _read_matrix(path: str):
@@ -51,15 +52,13 @@ def _read_matrix(path: str):
 def _parse_filter(spec: str, n: int) -> tuple[int, str]:
     """The weight k of a --filter spec on order n, and its stream header.
 
-    "hadamard" is weight k = n; check_arguments checks K of "weighing:K".
+    "hadamard" is weight k = n; K of "weighing:K" is a `numeral`, and
+    check_arguments checks its range.
     """
     if spec == "hadamard":
         return n, "# predicate=hadamard"
     if spec.startswith("weighing:"):
-        try:
-            k = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ParseError(f"bad filter spec {spec!r}") from None
+        k = numeral(spec.removeprefix("weighing:"))
         return k, f"# predicate=weighing k={k}"
     raise ParseError(f"unknown filter {spec!r} (expected hadamard or weighing:K)")
 
@@ -81,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="canonmat",
         description="Canonical forms of digit matrices under row/column permutations.")
     ap.add_argument("--manifest", metavar="PATH", help="write a JSON run manifest")
-    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    ap.add_argument("--budget", type=numeral, default=DEFAULT_BUDGET,
                     metavar="NODES", help="search node budget")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -98,17 +97,16 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="also print the row/column permutations used")
 
     sp = sub.add_parser("enumerate", help="stream all canonical matrices of a shape")
-    sp.add_argument("n", type=int)
-    sp.add_argument("m", type=int)
-    sp.add_argument("p", type=int)
+    for arg in ("n", "m", "p"):
+        sp.add_argument(arg, type=numeral)
     sp.add_argument("--count-only", action="store_true")
     sp.add_argument("--filter", metavar="SPEC", help="hadamard or weighing:K")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=numeral, default=1)
 
     for name, help_text, positionals, expand in SHORTHANDS:
         sp = sub.add_parser(name, help=help_text)
         for arg in positionals:
-            sp.add_argument(arg, type=int)
+            sp.add_argument(arg, type=numeral)
         sp.set_defaults(expand=expand)
 
     return ap

@@ -142,14 +142,25 @@ def lex_compare(a, b) -> int:
     return 0
 
 
+def numeral(text: str) -> int:
+    """The value of an ASCII decimal numeral with an optional leading `-`.
+
+    The one reader of every number canonmat takes, in matrix files and on
+    the command line.  int() alone would also take `+`, `_`, surrounding
+    whitespace and non-ASCII digits; this raises ParseError on those.
+    """
+    if text.isascii() and text.removeprefix("-").isdigit():
+        return int(text)
+    raise ParseError(f"not a decimal numeral: {text!r}")
+
+
 def parse_matrix(text: str) -> Matrix:
     """Parse the matrix text format.
 
     Line 1 holds `n m p`; the next n lines hold m space-separated digits.
-    Every field is an ASCII decimal numeral, and a row entry may start with
-    `-`: int() alone would also take `+`, `_` and non-ASCII digits.
-    `#`-prefixed lines and blank lines are ignored before the header and
-    after the last row; any other line after the last row is an error.
+    Every field is read by `numeral`.  `#`-prefixed lines and blank lines
+    are ignored before the header and after the last row; any other line
+    after the last row is an error.
     """
     lines = text.splitlines()
     content = [k for k, line in enumerate(lines)
@@ -160,9 +171,7 @@ def parse_matrix(text: str) -> Matrix:
     header = lines[pos].split()
     if len(header) != 3:
         raise ParseError(f"header must be 'n m p', got {lines[pos]!r}")
-    if not all(x.isascii() and x.isdigit() for x in header):
-        raise ParseError(f"non-integer header field in {lines[pos]!r}")
-    n, m, p = map(int, header)
+    n, m, p = map(numeral, header)
     check_shape(n, m, p)
     rows = []
     for k in range(n):
@@ -172,9 +181,10 @@ def parse_matrix(text: str) -> Matrix:
         fields = lines[idx].split()
         if len(fields) != m:
             raise ParseError(f"row {k + 1}: expected {m} entries, got {len(fields)}")
-        if not all(x.isascii() and x.removeprefix("-").isdigit() for x in fields):
-            raise ParseError(f"row {k + 1}: non-integer entry")
-        rows.append(tuple(map(int, fields)))
+        try:
+            rows.append(tuple(map(numeral, fields)))
+        except ParseError as exc:
+            raise ParseError(f"row {k + 1}: {exc}") from None
     if content[-1] > pos + n:
         extra = next(k for k in content if k > pos + n)
         raise ParseError(f"unexpected line after the {n} rows: {lines[extra]!r}")

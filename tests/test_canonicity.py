@@ -59,6 +59,18 @@ class TestFirstRowColStructure:
         with pytest.raises(ValueError):
             first_row_col_structure(Matrix.from_rows([(1, 0), (0, 1)], 2))
 
+    @given(matrices())
+    def test_first_lines_of_semi_canonical_matrices(self, a):
+        # Zeros, then nondecreasing nonzeros, in the first row and column.
+        if not is_semi_canonical(a):
+            a = canonical_form(a).canonical
+        row, col = a.rows[0], a.columns()[0]
+        for line in (row, col):
+            zeros, tail = line.count(0), line[line.count(0):]
+            assert line[:zeros] == (0,) * zeros
+            assert 0 not in tail and list(tail) == sorted(tail)
+        assert first_row_col_structure(a) == (a.m - row.count(0), col.count(0))
+
 
 class TestCondition5Transform:
     def test_improving_rearrangement(self):

@@ -306,6 +306,9 @@ BAD_INPUTS = [
     (["--budget", "0", "encode", "FILE"], "1 1 2\n\u0661\n".encode(), 2),
     (["--budget", "1", "encode", "FILE"], b"1 1 2\n-1\n", 3),
     (["enumerate", "2", "2", "2", "--workers", "0"], None, 2),
+    # K of weighing:K is read by the file format's numeral rule too.
+    (["enumerate", "4", "4", "3", "--filter", "weighing:+2"], None, 2),
+    (["enumerate", "4", "4", "3", "--filter", "weighing:\u0662"], None, 2),
     (["--budget", "-1", "canonize", "FILE"], b"2 2 2\n0 1\n1 0\n", 2),
     (["--manifest", "/nonexistent/dir/m.json", "count", "2", "2", "2"], None, 2),
     (["--manifest", os.curdir, "count", "2", "2", "2"], None, 2),
@@ -325,6 +328,26 @@ def test_bad_input_exit_code(tmp_path, capsys, argv, data, code):
     assert err.startswith("error: ")
     for missing in (arg for arg in argv if arg.startswith("/nonexistent/")):
         assert err.count(missing) == 1, err
+
+
+# Argument values int() takes and the file format's numeral rule does not:
+# argparse rejects each as a usage error, before any output.
+@pytest.mark.parametrize("argv", [
+    ["count", "\u0663", "\u0663", "\u0662"],
+    ["count", "3", "3", "2_0"],
+    ["--budget", "\u0661\u0660", "count", "3", "3", "2"],
+    ["enumerate", "3", "3", "2", "--count-only", "--workers", "\u0662"],
+    ["classify-weighing", "4", "+2"],
+    ["classify-hadamard", " 4"],
+], ids=repr)
+def test_bad_numeral_argument_is_a_usage_error(capsys, argv):
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        main(argv, out=out)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert out.getvalue() == captured.out == ""
+    assert "invalid numeral value" in captured.err
 
 
 class TestManifest:
@@ -380,17 +403,22 @@ class TestManifest:
                    "2", "--count-only") == (4, "")
         assert read_json(path)["nodes"] == nodes
 
-    @pytest.mark.parametrize("workers,nodes", [("1", 10253), ("2", 5769 + 10253)],
-                             ids=["1", "2"])
-    def test_budget_overrun_inside_partition_keeps_finished_nodes(self, tmp_path, workers,
-                                                                  nodes):
-        # Partition 000 finishes with 5,769 nodes.  One worker caps 001 at the
-        # 4,483 nodes left, so the run stops at the budget + 1; a pool caps it
-        # at the whole budget, and it overruns at 10,253 of its own.
+    @pytest.mark.parametrize("budget,workers,nodes",
+                             [("10252", "1", 10253), ("10252", "2", 5769 + 10253),
+                              ("12000", "1", 12001), ("12000", "2", 5769 + 10253)],
+                             ids=["1", "2", "12000-1", "12000-2"])
+    def test_budget_overrun_inside_partition_keeps_finished_nodes(self, tmp_path, budget,
+                                                                  workers, nodes):
+        # Partition 000 finishes with 5,769 nodes and 001 with 10,253.  One
+        # worker caps 001 at the budget left, so the run stops at the budget
+        # + 1.  A pool caps it at the whole budget: at 10,252 it overruns at
+        # 10,253 of its own; at 12,000 it finishes, and only the running
+        # total, checked at the partition boundary, passes the budget.
         path = str(tmp_path / "m.json")
-        code, out = run("--manifest", path, "--budget", "10252", "enumerate", "4", "3", "3",
+        code, out = run("--manifest", path, "--budget", budget, "enumerate", "4", "3", "3",
                         "--workers", workers)
         assert code == 4 and out.startswith("4 3 3\n0 0 0\n")
+        assert out.count("4 3 3\n") == 738  # partition 000's classes, and no more
         assert read_json(path)["nodes"] == nodes
 
     @pytest.mark.parametrize("shape", [("3", "3", "2"), ("4", "4", "2")], ids=["3x3x2", "4x4x2"])

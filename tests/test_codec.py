@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from canonmat import (DigitRangeError, Matrix, ParseError, RowCode,
                       decode_rows, encode_cols, encode_rows, format_matrix,
                       lex_compare, parse_matrix)
+from canonmat.matrices import numeral
 from conftest import TRIO_C, matrices
 
 
@@ -89,6 +90,25 @@ class TestRender:
     def test_wide_value_falls_back_to_digits(self):
         a = Matrix.from_rows([tuple([1] * 70)], 2)  # 2^70 - 1 overflows int64
         assert encode_rows(a).render() == "1" * 70
+        # Past base 10 a digit may take two characters, so digits are dotted.
+        a = Matrix.from_rows([tuple([10] * 19)], 11)  # 11^19 - 1 overflows int64
+        assert encode_rows(a).render() == ".".join(["10"] * 19)
+        a = Matrix.from_rows([tuple([10] * 18)], 11)  # 11^18 - 1 does not
+        assert encode_rows(a).render() == "5559917313492231480"
+
+
+class TestNumeral:
+    @pytest.mark.parametrize("text,value", [("0", 0), ("007", 7), ("-3", -3),
+                                            ("12345678901234567890", 12345678901234567890)])
+    def test_decimal(self, text, value):
+        assert numeral(text) == value
+
+    # int() takes all but the last four.
+    @pytest.mark.parametrize("text", ["+1", "1_1", "\u0663", "\uff12", " 1", "1\n", "",
+                                      "-", "--1", "1.0"])
+    def test_rejects(self, text):
+        with pytest.raises(ParseError, match="not a decimal numeral"):
+            numeral(text)
 
 
 class TestTextFormat:

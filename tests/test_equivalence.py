@@ -75,6 +75,7 @@ class TestPermutation:
 
     def test_inverse(self):
         q = Permutation((2, 0, 1))
+        assert (q(0), q(1), q(2)) == (2, 0, 1)
         assert q.compose(q.inverse()).images == (0, 1, 2)
         assert q.inverse().compose(q).images == (0, 1, 2)
 
