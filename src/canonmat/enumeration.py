@@ -3,30 +3,45 @@ classifications built on it, and orbit-count oracles.
 
 Generation is a depth-first search over row codes: the first row must have
 the zeros-then-nondecreasing-nonzeros shape every canonical matrix starts
-with, each later row is >= its predecessor and carries at least as many
-nonzero entries as the first (all provably necessary for minimality), and
-completed candidates are kept iff `is_minimal` holds: the engine's
-early-exit mode, which rejects a candidate that is not semi-canonical with
-no search and otherwise stops at the first arrangement below the candidate.
-Its search nodes count in the enumerator's node total and budget.
-The six-condition structural check is deliberately NOT the leaf filter: it
+with, and each later row is >= its predecessor and carries at least as many
+nonzero entries as the first (all provably necessary for minimality).
+Completed candidates are kept iff they are their own class minimum.  The
+six-condition structural check is deliberately NOT the leaf filter: it
 admits non-minimal matrices (e.g. at 3x3 over p=3) and rejects some minima
 (e.g. at 4x4 over p=2), so counts filtered by it would not partition the
 matrix set.  Emission order is strictly ascending in the row code, so
 streams are deterministic.  `run_partitions` runs the search one first row
 at a time, here or in a pool, for census, classifications and the CLI.
 
+The leaf test is the first path of the engine's minimality search, then
+the engine itself where that path would branch.  `equivalence.first_path`
+keys each row of the candidate, once per prefix, under the column cells of
+the rows above each earlier row k (its digits sorted within each cell), and
+compares that key with row k.  A row that is not sorted within its own
+cells, or whose key falls below row k, refutes the prefix that ends with
+it: in the first case that prefix is not semi-canonical, and in the second
+permuting columns within the cells makes it smaller.  If no key ties an
+earlier row either, the engine would take one child at every node, the
+candidate's next row, and reach the candidate as its only leaf: the
+candidate is its class minimum, with |Aut| = Π(row copies)! ·
+Π(equal columns)!.  Only a candidate with a tie goes to `is_minimal`, the
+engine's early-exit mode, which rejects a candidate that is not
+semi-canonical with no search and otherwise stops at the first arrangement
+below the candidate.  Its search nodes count in the enumerator's node total
+and budget; a leaf decided on the first path spends none, since its rows
+were charged when they were placed.
+
 A rejection also names the length k of the leading row block it rests on:
-the shortest prefix that is not semi-canonical, or one more than the last
-row of the candidate that the arrangement below it used.  Either way the
-first k rows are not their own class minimum.  Every row prefix of a class
-minimum is one (Read, *Every one a winner*, 1978; Kaski and Östergård,
-2006, ch. 4): under any column order the k least rows of a matrix are
-elementwise at most its first k rows sorted, so a prefix with a smaller
-arrangement gives the whole matrix one too.  So the search unwinds to
-depth k at once instead of trying the remaining rows below it; only
-non-canonical leaves are skipped, and the classes, their order and the
-partitions do not change.
+the prefix the first path refutes, the shortest prefix that is not
+semi-canonical, or one more than the last row of the candidate that the
+engine's arrangement below it used.  Each time the first k rows are not
+their own class minimum.  Every row prefix of a class minimum is one (Read,
+*Every one a winner*, 1978; Kaski and Östergård, 2006, ch. 4): under any
+column order the k least rows of a matrix are elementwise at most its first
+k rows sorted, so a prefix with a smaller arrangement gives the whole
+matrix one too.  So the search unwinds to depth k at once instead of trying
+the remaining rows below it; only non-canonical leaves are skipped, and the
+classes, their order and the partitions do not change.
 
 Two oracles check every census.  The Burnside count (orbits of S_n x S_m
 on the full matrix set, via the cycle index) is computed by entirely
@@ -44,7 +59,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from . import hadamard
-from .equivalence import is_minimal, pruned_canonical_form
+from .equivalence import first_path, is_minimal, pruned_canonical_form
 from .errors import BudgetExceededError, IntegrityError, ParseError
 from .matrices import Matrix, check_shape, format_matrix
 
@@ -102,9 +117,11 @@ def enumerate_canonical(n: int, m: int, p: int, weight: int | None = None,
     row has k nonzero entries, which prunes, and each complete candidate must
     satisfy W W^T = k I (`hadamard.is_weighing`) before its leaf test.
     `budget` caps the nodes: partial rows placed plus the search nodes of
-    every leaf test.  `counters`, when passed, gets running totals: "nodes",
-    "emitted" classes, and "orbits", the sum of their class sizes
-    n! * m! / |Aut|.  A bad shape, base or weight raises ParseError at the
+    every leaf test that reaches the engine.  A leaf decided on the first
+    path (see the module docstring) spends no node, since its rows were
+    charged when they were placed.  `counters`, when passed, gets running
+    totals: "nodes", "emitted" classes, and "orbits", the sum of their class
+    sizes n! * m! / |Aut|.  A bad shape, base or weight raises ParseError at the
     call, before any iteration.
     """
     check_arguments(n, m, p, weight)
@@ -131,25 +148,30 @@ def _enumerate(n, m, p, weight, budget, state, firsts) -> Iterator[Matrix]:
         it shown not canonical, so the callers down to that depth unwind, or
         n when none is."""
         if len(prefix) == n:
-            cand = Matrix(n=n, m=m, p=p, rows=tuple(prefix))
-            if weight is not None and not hadamard.is_weighing(cand, weight):
+            cand = None if weight is None else Matrix(n=n, m=m, p=p, rows=tuple(prefix))
+            if cand and not hadamard.is_weighing(cand, weight):
                 return n
-            left = None if budget is None else budget - state["nodes"]
-            try:
-                test = is_minimal(cand, budget=left)
-            except BudgetExceededError as exc:
-                charge(exc.nodes)  # past the budget, so this raises
-                raise
-            charge(test.nodes)
+            test = first_path(prefix, p, path)
+            if test is None:
+                cand = cand or Matrix(n=n, m=m, p=p, rows=tuple(prefix))
+                left = None if budget is None else budget - state["nodes"]
+                try:
+                    test = is_minimal(cand, budget=left)
+                except BudgetExceededError as exc:
+                    charge(exc.nodes)  # past the budget, so this raises
+                    raise
+                charge(test.nodes)
             if not test.minimal:
                 return test.prefix
             state["emitted"] += 1
             state["orbits"] += group_order // test.aut_order
-            yield cand
+            yield cand or Matrix(n=n, m=m, p=p, rows=tuple(prefix))
             return n
         depth = len(prefix)
         for i in range(start, len(rows)):  # rows[start] is the last row placed
             charge()
+            if len(path) > depth:
+                del path[depth:]
             prefix.append(rows[i])
             cut = yield from extend(prefix, rows, i)
             prefix.pop()
@@ -157,8 +179,10 @@ def _enumerate(n, m, p, weight, budget, state, firsts) -> Iterator[Matrix]:
                 return cut
         return n
 
+    path: list = []  # first_path's entries for the rows of the prefix
     for first in firsts:
         charge()
+        path.clear()
         s = m - first.count(0)
         # The rows a later row may be: >= the first, with at least its s nonzeros.
         rows = [r for r in all_rows if r >= first and m - r.count(0) >= s]

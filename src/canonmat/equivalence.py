@@ -14,7 +14,10 @@ minimality mode the candidate's own rows are the incumbent from the root,
 as in the "is canonical?" tests of Kaski and Östergård, *Classification
 Algorithms for Codes and Designs*, 2006.  A "not minimal" also names the
 shortest leading row block of the candidate it rests on, which the
-enumerator unwinds to.
+enumerator unwinds to.  `first_path` walks the same search's first path
+along a sorted candidate, one row at a time, so that a caller extending the
+candidate row by row reuses it; it decides every candidate on which the
+search would not branch.
 
 The permutations, witness pairs and both search results are named tuples;
 `Permutation` checks that its images form a bijection.
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import compress, count
+from itertools import compress, count, groupby
 from operator import add, ne
 
 from .canonicity import unsorted_prefix
@@ -194,6 +197,76 @@ def is_minimal(a: Matrix, budget: int | None = None) -> MinimalityResult:
         return MinimalityResult(False, None, search.nodes,
                                 a.rows.index(search.rows[u]) + copies)
     return MinimalityResult(True, search.aut_order(), search.nodes)
+
+
+def first_path(rows, p: int, path: list) -> MinimalityResult | None:
+    """`is_minimal` on the ascending `rows` where the search takes one path,
+    else None; `path` keeps that path row by row for the next call.
+
+    The key of a row under the column cells of the rows above row k is
+    `_RowSearch`'s: its digits sorted within each cell, cells in order.
+    `path[j]` is (colors of the rows above row j, row j's key under them,
+    whether some row up to j ties an earlier row's key); a copy of the row
+    above shares its entry.  Entries past the end of `path` are computed
+    here, and the caller truncates `path` where its rows change, so a row
+    shared by many candidates is keyed once.
+
+    For row j, not a copy of the row above, and every earlier row k, the
+    first of its copies:
+
+    - If row j is not sorted within its own cells, its columns descend
+      somewhere, so its prefix of j + 1 rows is not semi-canonical.
+    - If row j's key under the cells of the rows above row k is below row
+      k, permuting columns within those cells leaves rows 0..k-1 as they
+      are and turns row j into that key.  Rows 0..k-1 and that key, sorted,
+      are below rows 0..k, so the prefix of j + 1 rows has a smaller
+      arrangement: it is not its class minimum, and no matrix that starts
+      with it is one (see is_minimal).
+
+    Either way the result is "no" with that prefix and 0 nodes.  If no row
+    ties an earlier row's key either, the search on `rows` has exactly one
+    child at every node, the candidate's next row, which appends the
+    candidate's rows; its one leaf is the candidate itself, so the answer
+    is "yes", with |Aut| = copy_symmetries, and 0 nodes, since the caller
+    paid for each row when it placed it.  Otherwise the search may branch,
+    and the answer is None: run is_minimal.
+    """
+    for j in range(len(path), len(rows)):
+        row = rows[j]
+        if j and row == rows[j - 1]:
+            path.append(path[-1])  # the same cells, and no new key
+            continue
+        colors = [v * p for v in path[-1][1]] if path else [0] * len(row)
+        key = list(map(add, colors, row))
+        if sorted(key) != key:
+            return MinimalityResult(False, None, 0, j + 1)
+        tied = bool(path) and path[-1][2]
+        above = None
+        for entry in path:
+            if entry is not above:
+                above = entry
+                other = sorted(map(add, entry[0], row))
+                if other < entry[1]:
+                    return MinimalityResult(False, None, 0, j + 1)
+                tied = tied or other == entry[1]
+        path.append((colors, key, tied))
+    if path[-1][2]:
+        return None
+    return MinimalityResult(True, copy_symmetries([len(list(g)) for _, g in groupby(rows)],
+                                                  path[-1][1]), 0)
+
+
+def copy_symmetries(copies, colors) -> int:
+    """Π(copies of each row)! · Π(columns of each color)!: the number of
+    pairs that only permute copies of a row and columns of one final cell,
+    which are copies of a column.  |Aut| is this times the orbit sizes the
+    search multiplies in where it branches."""
+    aut = 1
+    for size in copies:
+        aut *= math.factorial(size)
+    for color in set(colors):
+        aut *= math.factorial(colors.count(color))
+    return aut
 
 
 def _search(a: Matrix, budget, target=None):
@@ -374,14 +447,7 @@ class _RowSearch:
 
     def aut_order(self) -> int:
         """|Aut| once the search is done and has a leaf."""
-        # The columns of a final cell are identical, as are the rows of a group.
-        aut = self.orbit_product
-        for size in self.mult:
-            aut *= math.factorial(size)
-        colors = self.best[2]
-        for color in set(colors):
-            aut *= math.factorial(colors.count(color))
-        return aut
+        return self.orbit_product * copy_symmetries(self.mult, self.best[2])
 
     def _leaf(self, ids, canon, colors, rel, eq_first) -> int:
         leaf = (tuple(canon), ids, colors)

@@ -392,11 +392,11 @@ class TestManifest:
         assert read_json(path)["workers"] == 2
 
     def test_count_nodes_include_leaf_tests(self, tmp_path):
-        # 874 rows placed and 2,154 leaf-test nodes (tests/test_enumeration.py).
+        # 870 rows placed and 1,400 leaf-test nodes (tests/test_enumeration.py).
         path = str(tmp_path / "m.json")
         assert run("--manifest", path, "enumerate", "4", "4", "2", "--count-only")[0] == 0
         nodes = read_json(path)["nodes"]
-        assert nodes == 3028
+        assert nodes == 2270
         assert run("--budget", str(nodes), "enumerate", "4", "4", "2",
                    "--count-only") == (0, "count=317 burnside=317 agree=true\n")
         assert run("--manifest", path, "--budget", str(nodes - 1), "enumerate", "4", "4",
@@ -404,15 +404,15 @@ class TestManifest:
         assert read_json(path)["nodes"] == nodes
 
     @pytest.mark.parametrize("budget,workers,nodes",
-                             [("10252", "1", 10253), ("10252", "2", 5769 + 10253),
-                              ("12000", "1", 12001), ("12000", "2", 5769 + 10253)],
-                             ids=["1", "2", "12000-1", "12000-2"])
+                             [("4508", "1", 4509), ("4508", "2", 2693 + 4509),
+                              ("6000", "1", 6001), ("6000", "2", 2693 + 4509)],
+                             ids=["1", "2", "6000-1", "6000-2"])
     def test_budget_overrun_inside_partition_keeps_finished_nodes(self, tmp_path, budget,
                                                                   workers, nodes):
-        # Partition 000 finishes with 5,769 nodes and 001 with 10,253.  One
+        # Partition 000 finishes with 2,693 nodes and 001 with 4,509.  One
         # worker caps 001 at the budget left, so the run stops at the budget
-        # + 1.  A pool caps it at the whole budget: at 10,252 it overruns at
-        # 10,253 of its own; at 12,000 it finishes, and only the running
+        # + 1.  A pool caps it at the whole budget: at 4,508 it overruns at
+        # 4,509 of its own; at 6,000 it finishes, and only the running
         # total, checked at the partition boundary, passes the budget.
         path = str(tmp_path / "m.json")
         code, out = run("--manifest", path, "--budget", budget, "enumerate", "4", "3", "3",

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 
 from canonmat import (BudgetExceededError, IntegrityError, Matrix,
                       MinimalityResult, ParseError, burnside_count, census, cli,
-                      enumeration, enumerate_canonical, is_weighing,
-                      orbit_size, pruned_canonical_form)
+                      enumeration, enumerate_canonical, equivalence,
+                      is_weighing, orbit_size, pruned_canonical_form)
 from canonmat.enumeration import canonical_first_rows
 from conftest import (SWEEP_SHAPES, all_matrices, brute_orbit_size,
                       canonical_form, matrices, naive_minimum, read_json)
@@ -130,36 +130,46 @@ class TestEnumerate:
 
 # Rows placed by the enumerator and search nodes of its leaf tests, per shape
 # of the benchmark's census.  The leaf tests used 6,940, 10,574, 63,933 and
-# 95,027 nodes as full canonical-form searches, and 4,885, 5,142, 41,107 and
-# 55,409 as early-exit searches on every leaf.
-CENSUS_NODES = {(3, 3, 3): (1302, 3379), (4, 4, 2): (874, 2154),
-                (4, 3, 3): (8154, 25513), (3, 4, 3): (10675, 25597)}
+# 95,027 nodes as full canonical-form searches, 4,885, 5,142, 41,107 and
+# 55,409 as early-exit searches on every leaf, and 3,379, 2,154, 25,513 and
+# 25,597 with the semi-canonical screen.  A leaf decided on the first path
+# spends no search node: its rows were charged when they were placed.
+CENSUS_NODES = {(3, 3, 3): (1302, 1030), (4, 4, 2): (870, 1400),
+                (4, 3, 3): (8141, 8791), (3, 4, 3): (10675, 7173)}
 
 # Leaf tests that reach the search engine, of all leaf tests, per shape: the
-# rest are not semi-canonical and fail with no search node.
-CENSUS_LEAF_TESTS = {(3, 3, 3): (902, 1137), (4, 4, 2): (431, 629),
-                     (4, 3, 3): (6154, 6852), (3, 4, 3): (6651, 9973)}
+# first path decides the rest with no search node.
+CENSUS_LEAF_TESTS = {(3, 3, 3): (200, 1137), (4, 4, 2): (214, 625),
+                     (4, 3, 3): (1693, 6839), (3, 4, 3): (1245, 9973)}
 
 
 # Every leaf test of the census in order, as the first 16 hex digits of
-# sha256(repr([(a.rows, tuple(result)), ...])): a change to the engine that
-# keeps the totals above but moves a single verdict, |Aut|, node count or
-# refuted prefix changes it.
-CENSUS_LEAF_DIGESTS = {(3, 3, 3): "175e1cac53868ff7", (4, 4, 2): "5ca142308263e6fa",
-                       (4, 3, 3): "6fb9b9aad80e6cca", (3, 4, 3): "044c102328271a46"}
+# sha256(repr([(rows, tuple(result)), ...])): a change to the first path
+# or the engine that keeps the totals above but moves a single verdict,
+# |Aut|, node count or refuted prefix changes it.
+CENSUS_LEAF_DIGESTS = {(3, 3, 3): "31db20320bb96daf", (4, 4, 2): "bd4ddc439446ead5",
+                       (4, 3, 3): "1709441ebec73326", (3, 4, 3): "765a327322b92d49"}
 
 
 def recorded_leaf_tests(shape, monkeypatch):
-    """Run census(*shape), recording (a, result) of every leaf test."""
-    real = enumeration.is_minimal
+    """Run census(*shape), recording (rows, result) of every leaf test: the
+    first path's verdict, or is_minimal's where the first path has none."""
+    real_first, real_minimal = enumeration.first_path, enumeration.is_minimal
     tests = []
 
-    def recording(a, budget=None):
-        result = real(a, budget=budget)
-        tests.append((a, result))
+    def first(rows, p, path):
+        result = real_first(rows, p, path)
+        if result is not None:
+            tests.append((tuple(rows), result))
         return result
 
-    monkeypatch.setattr(enumeration, "is_minimal", recording)
+    def minimal(a, budget=None):
+        result = real_minimal(a, budget=budget)
+        tests.append((a.rows, result))
+        return result
+
+    monkeypatch.setattr(enumeration, "first_path", first)
+    monkeypatch.setattr(enumeration, "is_minimal", minimal)
     return census(*shape), tests
 
 
@@ -211,34 +221,83 @@ class TestCensus:
                              ids=lambda s: "x".join(map(str, s)))
     def test_every_leaf_test_is_pinned(self, shape, monkeypatch):
         _, tests = recorded_leaf_tests(shape, monkeypatch)
-        record = repr([(a.rows, tuple(test)) for a, test in tests])
+        record = repr([(rows, tuple(test)) for rows, test in tests])
         assert len(tests) == CENSUS_LEAF_TESTS[shape][1]
         assert hashlib.sha256(record.encode()).hexdigest()[:16] == CENSUS_LEAF_DIGESTS[shape]
 
     @pytest.mark.parametrize("shape", [(3, 3, 2), (3, 3, 3), (4, 4, 2), (4, 3, 2)],
                              ids=lambda s: "x".join(map(str, s)))
     def test_every_backjump_refutes_its_prefix(self, shape, monkeypatch):
-        real = enumeration.is_minimal
+        real_first, real_minimal = enumeration.first_path, enumeration.is_minimal
         n, m, p = shape
         refuted = set()
 
-        def recording(a, budget=None):
+        def unwound(rows):
             # Leaves come in ascending order, so the enumerator has unwound
             # past every prefix refuted so far iff none of them starts this one.
-            assert not any(a.rows[:k] in refuted for k in range(1, n + 1))
-            result = real(a, budget=budget)
+            return not any(rows[:k] in refuted for k in range(1, n + 1))
+
+        def first(rows, p, path):
+            assert unwound(tuple(rows))
+            result = real_first(rows, p, path)
+            if result is not None and not result.minimal:
+                refuted.add(tuple(rows[:result.prefix]))
+            return result
+
+        def minimal(a, budget=None):
+            assert unwound(a.rows)
+            result = real_minimal(a, budget=budget)
             if not result.minimal:
                 refuted.add(a.rows[:result.prefix])
             return result
 
-        monkeypatch.setattr(enumeration, "is_minimal", recording)
+        monkeypatch.setattr(enumeration, "first_path", first)
+        monkeypatch.setattr(enumeration, "is_minimal", minimal)
         assert census(*shape).agree
         assert any(len(rows) < n for rows in refuted)
         for rows in refuted:
             assert naive_minimum(Matrix(len(rows), m, p, rows)) < rows
 
+    @pytest.mark.parametrize("shape", [(4, 3, 3), (3, 4, 3), (5, 5, 2)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_first_path_agrees_with_the_engine(self, shape, monkeypatch):
+        # Every leaf: a "yes" of the first path is is_minimal's, with the
+        # same |Aut|; each prefix it refutes is above its class minimum; and
+        # a leaf it leaves open goes to is_minimal next.  The refuted
+        # prefixes (4,511 at 5x5x2) are checked against the exhaustive
+        # minimum over column orders: naive_minimum's n! * m! is too slow.
+        real_first, real_minimal = enumeration.first_path, enumeration.is_minimal
+        n, m, p = shape
+        certified, refuted, open_leaves, handed = [], set(), [], []
+
+        def first(rows, p, path):
+            assert len(handed) == len(open_leaves)
+            result = real_first(rows, p, path)
+            if result is None:
+                open_leaves.append(tuple(rows))
+            elif result.minimal:
+                certified.append((tuple(rows), result.aut_order))
+            else:
+                refuted.add(tuple(rows[:result.prefix]))
+            return result
+
+        def minimal(a, budget=None):
+            handed.append(a.rows)
+            return real_minimal(a, budget=budget)
+
+        monkeypatch.setattr(enumeration, "first_path", first)
+        monkeypatch.setattr(enumeration, "is_minimal", minimal)
+        assert census(*shape).agree
+        assert handed == open_leaves
+        assert certified and refuted and open_leaves
+        for rows, aut in certified:
+            test = real_minimal(Matrix(n, m, p, rows))
+            assert (test.minimal, test.aut_order) == (True, aut)
+        for rows in refuted:
+            assert canonical_form(Matrix(len(rows), m, p, rows)).canonical.rows < rows
+
     def test_pinned_nodes_five_by_five(self):
-        assert census(5, 5, 2).nodes == 68091
+        assert census(5, 5, 2).nodes == 53192
 
     def test_orbit_sums_come_from_the_leaf_tests(self):
         counters = {}
@@ -247,27 +306,42 @@ class TestCensus:
         assert counters["orbits"] == sum(orbit_size(r) for r in reps) == 2**9
 
     def test_wrong_orbit_size_fails_the_census(self, monkeypatch, tmp_path):
-        # One class reports |Aut| = 1 instead of 3! * 3!: the class count
-        # still matches Burnside, but the class sizes overshoot 2^9.
-        real = enumeration.is_minimal
-        zero = ((0, 0, 0),) * 3
+        # One class reports |Aut| = 1: the class count still matches
+        # Burnside, but the class sizes overshoot 2^9.  The zero matrix
+        # (3! * 3!) is decided on the first path, the permutation matrix
+        # 001/010/100 (3!) by is_minimal: corrupt each route in turn.
+        real_symmetries, real_minimal = equivalence.copy_symmetries, enumeration.is_minimal
+        lied_about = []
 
-        def lying(a, budget=None):
-            result = real(a, budget=budget)
-            return MinimalityResult(True, 1, result.nodes) if a.rows == zero else result
+        def lying_symmetries(copies, colors):
+            if list(copies) == [3] and len(set(colors)) == 1:  # 000 or 111, thrice
+                lied_about.append("first path")
+                return 1
+            return real_symmetries(copies, colors)
 
-        monkeypatch.setattr(enumeration, "is_minimal", lying)
-        with pytest.raises(IntegrityError) as exc:
-            census(3, 3, 2)
-        assert (exc.value.enumerated, exc.value.expected) == (36, 36)
-        nodes = []
-        for argv in (["count", "3", "3", "2"],
-                     ["enumerate", "3", "3", "2", "--count-only", "--workers", "2"]):
-            out, path = io.StringIO(), str(tmp_path / "m.json")
-            assert cli.main(["--manifest", path, *argv], out=out) == 5
-            assert out.getvalue() == "count=36 burnside=36 agree=false\n"
-            nodes.append(read_json(path)["nodes"])
-        assert nodes[0] == nodes[1] > 0
+        def lying_minimal(a, budget=None):
+            result = real_minimal(a, budget=budget)
+            if a.rows == ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
+                lied_about.append("is_minimal")
+                return MinimalityResult(True, 1, result.nodes)
+            return result
+
+        for target, name, lie in ((equivalence, "copy_symmetries", lying_symmetries),
+                                  (enumeration, "is_minimal", lying_minimal)):
+            with monkeypatch.context() as patch:
+                patch.setattr(target, name, lie)
+                with pytest.raises(IntegrityError) as exc:
+                    census(3, 3, 2)
+                assert (exc.value.enumerated, exc.value.expected) == (36, 36)
+                nodes = []
+                for argv in (["count", "3", "3", "2"],
+                             ["enumerate", "3", "3", "2", "--count-only", "--workers", "2"]):
+                    out, path = io.StringIO(), str(tmp_path / "m.json")
+                    assert cli.main(["--manifest", path, *argv], out=out) == 5
+                    assert out.getvalue() == "count=36 burnside=36 agree=false\n"
+                    nodes.append(read_json(path)["nodes"])
+                assert nodes[0] == nodes[1] > 0
+        assert lied_about[0] == "first path" and "is_minimal" in lied_about
 
     def test_stream_mode(self):
         result = census(2, 2, 2)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from canonmat import (BudgetExceededError, Matrix, MinimalityResult,
                       PermPair, Permutation, apply, equivalent, is_minimal,
                       is_semi_canonical, pruned_canonical_form)
+from canonmat.equivalence import first_path
 from conftest import (SWEEP_SHAPES, TRIO_C, all_matrices, canonical_form,
                       matrices, naive_minimum)
 
@@ -300,6 +301,43 @@ class TestIsMinimal:
         with pytest.raises(BudgetExceededError) as exc:
             is_minimal(minimum, budget=nodes - 1)
         assert exc.value.nodes == nodes
+
+
+def sorted_in_turn(a, rounds=10):
+    """`a` with its rows and then its columns sorted, in turn, until both
+    ascend; None if they do not within `rounds`."""
+    rows = a.rows
+    for _ in range(rounds):
+        if is_semi_canonical(Matrix(a.n, a.m, a.p, rows)):
+            return Matrix(a.n, a.m, a.p, rows)
+        rows = tuple(zip(*sorted(zip(*sorted(rows)))))
+    return None
+
+
+class TestFirstPath:
+    @given(matrices(max_n=5, max_m=5))
+    @settings(max_examples=300, deadline=None)
+    def test_decides_only_what_brute_force_confirms(self, a):
+        # On a matrix with ascending rows, and on a semi-canonical one.
+        for b in filter(None, (Matrix(a.n, a.m, a.p, tuple(sorted(a.rows))),
+                               sorted_in_turn(a))):
+            test = first_path(b.rows, b.p, [])
+            if test is None:
+                continue
+            assert test.nodes == 0
+            if test.minimal:
+                assert naive_minimum(b) == b.rows
+                assert (test.aut_order, test.prefix) == (is_minimal(b).aut_order, None)
+            else:
+                refuted = b.rows[:test.prefix]
+                assert naive_minimum(Matrix(test.prefix, b.m, b.p, refuted)) < refuted
+            # Row by row on one path, as the enumerator calls it: the same verdict.
+            path = []
+            for k in range(1, b.n + 1):
+                step = first_path(b.rows[:k], b.p, path)
+                if step is not None and not step.minimal:
+                    break
+            assert step == test
 
 
 class TestEquivalent:
