@@ -11,8 +11,7 @@ import short.
 """
 
 from .canonicity import (CanonicityReport, RowStats, condition5_transform,
-                         first_row_col_structure, is_canonical,
-                         is_semi_canonical, row_stats)
+                         is_canonical, is_semi_canonical, row_stats)
 from .enumeration import (ClassCensus, burnside_count, census,
                           classify_hadamard, classify_weighing,
                           enumerate_canonical, orbit_size)
@@ -32,7 +31,7 @@ __all__ = [
     "PermPair", "Permutation", "RowCode", "RowStats", "apply",
     "burnside_count", "census", "classify_hadamard",
     "classify_weighing", "condition5_transform", "decode_rows", "encode_cols",
-    "encode_rows", "enumerate_canonical", "equivalent", "first_row_col_structure",
+    "encode_rows", "enumerate_canonical", "equivalent",
     "format_matrix", "is_canonical", "is_hadamard", "is_minimal",
     "is_semi_canonical",
     "is_weighing", "lex_compare", "orbit_size", "parse_matrix",

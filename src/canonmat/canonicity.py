@@ -15,9 +15,7 @@ Exact canonicity comes from `is_minimal`.
 
 Notation used throughout: s = number of nonzero entries in the first row,
 t = number of rows equal to the first row (`row_stats(a).zeta[0]`), as in
-`is_canonical` and `condition5_transform`.  One function counts something
-else: `first_row_col_structure` returns (s, z), with z = the leading zeros
-of the first column.  On 001/011 it returns (1, 2), while t = 1.
+`is_canonical` and `condition5_transform`.
 
 `RowStats`, `ConditionResult` and `CanonicityReport` are named tuples.
 """
@@ -92,20 +90,6 @@ def unsorted_prefix(a: Matrix) -> int:
         if left > right:
             k = min(k, 1 + next(compress(count(), map(ne, left, right))))
     return k
-
-
-def first_row_col_structure(a: Matrix) -> tuple[int, int]:
-    """(s, z) for a semi-canonical matrix.
-
-    s counts the nonzero entries of the first row, z the zeros of the first
-    column.  z is not the module's t (rows equal to the first row): on
-    001/011 this returns (1, 2), where t = 1.  Both lines are nondecreasing,
-    so each is zeros followed by nonzeros: s counts the trailing nonzeros of
-    the row, z the leading zeros of the column.
-    """
-    if not is_semi_canonical(a):
-        raise ValueError("first_row_col_structure requires a semi-canonical matrix")
-    return a.m - a.rows[0].count(0), [row[0] for row in a.rows].count(0)
 
 
 def condition5_transform(a: Matrix, i: int) -> Matrix:

@@ -79,10 +79,6 @@ class ClassCensus(namedtuple("ClassCensus",
 
     __slots__ = ()
 
-    @property
-    def agree(self) -> bool:
-        return self.burnside is None or self.count == self.burnside
-
 
 def canonical_first_rows(m: int, p: int,
                          weight: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -125,12 +121,13 @@ def enumerate_canonical(n: int, m: int, p: int, weight: int | None = None,
     call, before any iteration.
     """
     check_arguments(n, m, p, weight)
-    return _enumerate(n, m, p, weight, budget, {} if counters is None else counters,
-                      canonical_first_rows(m, p, weight))
+    return _enumerate(n, m, p, weight, math.inf if budget is None else budget,
+                      {} if counters is None else counters, canonical_first_rows(m, p, weight))
 
 
 def _enumerate(n, m, p, weight, budget, state, firsts) -> Iterator[Matrix]:
-    """The search below the given first rows, on checked arguments."""
+    """The search below the given first rows, on checked arguments and a
+    numeric budget (math.inf for none)."""
     all_rows = [r for r in itertools.product(range(p), repeat=m)
                 if weight is None or m - r.count(0) == weight]
     group_order = math.factorial(n) * math.factorial(m)
@@ -138,7 +135,7 @@ def _enumerate(n, m, p, weight, budget, state, firsts) -> Iterator[Matrix]:
 
     def charge(amount=1):
         state["nodes"] += amount
-        if budget is not None and state["nodes"] > budget:
+        if state["nodes"] > budget:
             raise BudgetExceededError(
                 f"node budget {budget} exceeded",
                 nodes=state["nodes"], partial_count=state["emitted"])
@@ -154,9 +151,8 @@ def _enumerate(n, m, p, weight, budget, state, firsts) -> Iterator[Matrix]:
             test = first_path(prefix, p, path)
             if test is None:
                 cand = cand or Matrix(n=n, m=m, p=p, rows=tuple(prefix))
-                left = None if budget is None else budget - state["nodes"]
                 try:
-                    test = is_minimal(cand, budget=left)
+                    test = is_minimal(cand, budget=budget - state["nodes"])
                 except BudgetExceededError as exc:
                     charge(exc.nodes)  # past the budget, so this raises
                     raise
@@ -216,12 +212,12 @@ def run_partitions(n: int, m: int, p: int, weight: int | None = None,
     Invalid arguments raise ParseError first (see check_arguments).
     """
     check_arguments(n, m, p, weight, workers)
+    budget = math.inf if budget is None else budget
     firsts = list(canonical_first_rows(m, p, weight))
     state = {} if counters is None else counters
     state.update(workers=min(workers, len(firsts)), nodes=0)
     text = emit is not None
-    jobs = ((n, m, p, weight, first, None if budget is None else budget - state["nodes"], text)
-            for first in firsts)
+    jobs = ((n, m, p, weight, first, budget - state["nodes"], text) for first in firsts)
     reps: list = []
     count = orbits = 0
     pool = None
@@ -230,7 +226,7 @@ def run_partitions(n: int, m: int, p: int, weight: int | None = None,
         pool = ProcessPoolExecutor(max_workers=state["workers"])
     try:
         for classes, nodes, part_orbits in (pool.map if pool else map)(_partition, jobs):
-            if budget is not None and state["nodes"] + nodes > budget:
+            if state["nodes"] + nodes > budget:
                 raise BudgetExceededError("", nodes=nodes)  # worded below
             state["nodes"] += nodes
             count += len(classes)

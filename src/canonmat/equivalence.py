@@ -20,7 +20,8 @@ candidate row by row reuses it; it decides every candidate on which the
 search would not branch.
 
 The permutations, witness pairs and both search results are named tuples;
-`Permutation` checks that its images form a bijection.
+`Permutation` checks that its images are a tuple of ints that form a
+bijection.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ class Permutation(namedtuple("Permutation", "images")):
     __slots__ = ()
 
     def __new__(cls, images: tuple[int, ...]):
+        if type(images) is not tuple or not all(type(i) is int for i in images):
+            raise ValueError(f"images must be a tuple of ints, got {images!r}")
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a bijection: {images}")
         return tuple.__new__(cls, (images,))
@@ -306,7 +309,7 @@ class _RowSearch:
     """
 
     __slots__ = ("rows", "mult", "n", "p", "budget", "nodes", "first", "best",
-                 "stop_below", "below", "best_version", "generators", "orbit_product")
+                 "stop_below", "below", "generators", "orbit_product")
 
     def __init__(self, rows, mult, p, budget, target=None):
         self.rows = rows
@@ -319,7 +322,6 @@ class _RowSearch:
         self.best = None if target is None else (target, None, None)
         self.stop_below = target is not None
         self.below = None       # (row id, copies) a fall below the target rests on
-        self.best_version = 0
         self.generators: list[tuple[int, ...]] = []
         self.orbit_product = 1
 
@@ -413,14 +415,14 @@ class _RowSearch:
                 if roots[u] in {roots[e] for e in explored}:
                     continue
             explored.append(u)
-            version = self.best_version
+            before = self.best
             target = self.node(ids + (u,), canon,
                                tuple([v * p for v in map(add, colors, rows[u])]),
                                cells, tuple(x for x in remaining if x != u), rel, eq_first)
             if target < depth:
                 del canon[start:]
                 return target
-            if self.best_version != version:
+            if self.best is not before:  # _leaf made a new leaf the incumbent
                 rel, eq_first = 0, eq_first or on_first_path
         del canon[start:]
         if on_first_path:
@@ -453,11 +455,9 @@ class _RowSearch:
         leaf = (tuple(canon), ids, colors)
         if self.first is None:
             self.first = self.best = leaf
-            self.best_version += 1
             return len(ids)
         if rel < 0:
             self.best = leaf
-            self.best_version += 1
             return len(ids)
         match = self.best if rel == 0 else self.first
         assert rel == 0 or eq_first

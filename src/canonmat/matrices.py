@@ -23,20 +23,30 @@ _INT64_MAX = 2**63 - 1
 
 
 class Matrix(namedtuple("Matrix", "n m p rows")):
-    """An n x m matrix with entries in {0, ..., p-1}, row-major."""
+    """An n x m matrix with entries in {0, ..., p-1}, row-major.
+
+    `rows` is a tuple of row tuples, so the record hashes, and every entry
+    is an `int` (not a `bool`), so it formats and parses back as itself.
+    """
 
     __slots__ = ()
 
     def __new__(cls, n: int, m: int, p: int, rows: tuple[tuple[int, ...], ...]):
         check_shape(n, m, p)
+        if type(rows) is not tuple:
+            raise ValueError(f"rows must be a tuple, got a {type(rows).__name__}")
         if len(rows) != n:
             raise ValueError(f"expected {n} rows, got {len(rows)}")
         top = p - 1
         for row in rows:
+            if type(row) is not tuple:
+                raise ValueError(f"each row must be a tuple, got a {type(row).__name__}")
             if len(row) != m:
                 raise ValueError(f"expected rows of length {m}, got {len(row)}")
             for e in row:
-                if not (0 <= e <= top):
+                if type(e) is not int:
+                    raise DigitRangeError(f"entry {e!r} is a {type(e).__name__}, not an int")
+                if not 0 <= e <= top:
                     raise DigitRangeError(f"entry {e} outside [0, {top}]")
         return tuple.__new__(cls, (n, m, p, rows))
 

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from canonmat import (Matrix, condition5_transform, encode_rows,
-                      first_row_col_structure, is_canonical,
-                      is_semi_canonical, row_stats)
+                      is_canonical, is_semi_canonical, row_stats)
 from conftest import TRIO_C, all_matrices, canonical_form, matrices
 
 
@@ -46,19 +45,6 @@ class TestSemiCanonical:
 
 
 class TestFirstRowColStructure:
-    def test_trio(self, trio):
-        a, _, c = trio
-        assert first_row_col_structure(c) == (1, 2)
-        assert first_row_col_structure(a) == (2, 3)
-
-    def test_all_zero(self):
-        s, t = first_row_col_structure(Matrix.from_rows([(0, 0), (0, 0)], 2))
-        assert s == 0 and t == 2
-
-    def test_requires_semi_canonical(self):
-        with pytest.raises(ValueError):
-            first_row_col_structure(Matrix.from_rows([(1, 0), (0, 1)], 2))
-
     @given(matrices())
     def test_first_lines_of_semi_canonical_matrices(self, a):
         # Zeros, then nondecreasing nonzeros, in the first row and column.
@@ -69,7 +55,6 @@ class TestFirstRowColStructure:
             zeros, tail = line.count(0), line[line.count(0):]
             assert line[:zeros] == (0,) * zeros
             assert 0 not in tail and list(tail) == sorted(tail)
-        assert first_row_col_structure(a) == (a.m - row.count(0), col.count(0))
 
 
 class TestCondition5Transform:

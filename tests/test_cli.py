@@ -91,6 +91,20 @@ class TestCanonize:
         pp = PermPair(Permutation(row_images), Permutation(col_images))
         assert apply(TRIO_A, pp) == TRIO_C
 
+    def test_witness_that_misses_the_canonical_form(self, tmp_path, capsys, monkeypatch):
+        real = cli.pruned_canonical_form
+
+        def wrong_witness(a, budget=None):
+            return real(a, budget=budget)._replace(witness=PermPair.identity(a.n, a.m))
+
+        monkeypatch.setattr(cli, "pruned_canonical_form", wrong_witness)
+        manifest = str(tmp_path / "m.json")
+        assert run("--manifest", manifest, "canonize", "--witness",
+                   write(tmp_path, "a.txt", TRIO_A)) == (5, "")
+        assert capsys.readouterr().err == ("error: witness does not reproduce "
+                                           "the canonical form\n")
+        assert read_json(manifest)["result"].startswith("integrity failure:")
+
     def test_budget(self, tmp_path):
         identity = Matrix.from_rows([[int(i == j) for j in range(8)] for i in range(8)], 2)
         path, manifest = write(tmp_path, "id8.txt", identity), str(tmp_path / "m.json")

@@ -37,8 +37,20 @@ REJECTED = {
     Matrix: [({"n": 0, "rows": ()}, ValueError),
              ({"rows": ((0, 0, 1),)}, ValueError),
              ({"rows": ((0, 0), (0, 1))}, ValueError),
-             ({"rows": ((0, 0, 1), (0, 1, 2))}, DigitRangeError)],
-    Permutation: [({"images": (0, 2)}, ValueError)],
+             ({"rows": ((0, 0, 1), (0, 1, 2))}, DigitRangeError),
+             # Entries are ints: a float or a bool would not format and
+             # parse back as itself.
+             ({"n": 1, "m": 2, "rows": ((0.5, True),)}, DigitRangeError),
+             ({"rows": ((0, 0, 1.0), (0, 1, 1))}, DigitRangeError),
+             ({"rows": ((0, 0, True), (0, 1, 1))}, DigitRangeError),
+             # Rows and their container are tuples, so the record hashes.
+             ({"n": 1, "m": 1, "rows": [[0]]}, ValueError),
+             ({"rows": [(0, 0, 1), (0, 1, 1)]}, ValueError),
+             ({"rows": ((0, 0, 1), [0, 1, 1])}, ValueError)],
+    Permutation: [({"images": (0, 2)}, ValueError),
+                  ({"images": (0.0, 1.0)}, ValueError),
+                  ({"images": (True, False)}, ValueError),
+                  ({"images": [1, 0]}, ValueError)],
 }
 
 
