@@ -15,21 +15,16 @@ at a time, here or in a pool, for census, classifications and the CLI.
 
 The leaf test is the first path of the engine's minimality search, then
 the engine itself where that path would branch.  `equivalence.first_path`
-keys each row of the candidate, once per prefix, under the column cells of
-the rows above each earlier row k (its digits sorted within each cell), and
-compares that key with row k.  A row that is not sorted within its own
-cells, or whose key falls below row k, refutes the prefix that ends with
-it: in the first case that prefix is not semi-canonical, and in the second
-permuting columns within the cells makes it smaller.  If no key ties an
-earlier row either, the engine would take one child at every node, the
-candidate's next row, and reach the candidate as its only leaf: the
-candidate is its class minimum, with |Aut| = Π(row copies)! ·
-Π(equal columns)!.  Only a candidate with a tie goes to `is_minimal`, the
-engine's early-exit mode, which rejects a candidate that is not
-semi-canonical with no search and otherwise stops at the first arrangement
-below the candidate.  Its search nodes count in the enumerator's node total
-and budget; a leaf decided on the first path spends none, since its rows
-were charged when they were placed.
+keys each row once per prefix, as the engine would, and at no node either
+refutes a prefix (its last row is not sorted within its own cells, or keys
+below an earlier row) or, if no key ties an earlier row, certifies the
+candidate with |Aut| = Π(row copies)! · Π(equal columns)!.  Only a
+candidate with a tie goes to `is_minimal`, the engine's early-exit mode,
+which rejects a candidate that is not semi-canonical with no search and
+otherwise stops at the first arrangement below the candidate.  Its search
+nodes count in the enumerator's node total and budget; a leaf decided on
+the first path spends none, since its rows were charged when they were
+placed.
 
 A rejection also names the length k of the leading row block it rests on:
 the prefix the first path refutes, the shortest prefix that is not
@@ -39,9 +34,16 @@ their own class minimum.  Every row prefix of a class minimum is one (Read,
 *Every one a winner*, 1978; Kaski and Östergård, 2006, ch. 4): under any
 column order the k least rows of a matrix are elementwise at most its first
 k rows sorted, so a prefix with a smaller arrangement gives the whole
-matrix one too.  So the search unwinds to depth k at once instead of trying
-the remaining rows below it; only non-canonical leaves are skipped, and the
-classes, their order and the partitions do not change.
+matrix one too.  So no matrix that starts with those k rows is tried.
+
+The search is one loop, with three stacks per partition: the rows placed,
+their indices in the partition's row list, and the first path's entries.
+Every backtrack runs one unwind rule.  Let c be k after a rejected leaf, n
+after any other leaf, or the prefix length once a position has tried every
+row: position c - 1 takes its next row, and each stack keeps c - 1 entries;
+at c <= 1 the partition is done.  Only non-canonical leaves are skipped, so
+the classes, their order and the partitions do not change, and no
+recursion limit bounds n.
 
 Two oracles check every census.  The Burnside count (orbits of S_n x S_m
 on the full matrix set, via the cycle index) is computed by entirely
@@ -140,49 +142,43 @@ def _enumerate(n, m, p, weight, budget, state, firsts) -> Iterator[Matrix]:
                 f"node budget {budget} exceeded",
                 nodes=state["nodes"], partial_count=state["emitted"])
 
-    def extend(prefix: list[tuple[int, ...]], rows, start: int) -> Iterator[Matrix]:
-        """Yield the classes below `prefix`; return the length of a prefix of
-        it shown not canonical, so the callers down to that depth unwind, or
-        n when none is."""
-        if len(prefix) == n:
-            cand = None if weight is None else Matrix(n=n, m=m, p=p, rows=tuple(prefix))
-            if cand and not hadamard.is_weighing(cand, weight):
-                return n
-            test = first_path(prefix, p, path)
-            if test is None:
-                cand = cand or Matrix(n=n, m=m, p=p, rows=tuple(prefix))
-                try:
-                    test = is_minimal(cand, budget=budget - state["nodes"])
-                except BudgetExceededError as exc:
-                    charge(exc.nodes)  # past the budget, so this raises
-                    raise
-                charge(test.nodes)
-            if not test.minimal:
-                return test.prefix
-            state["emitted"] += 1
-            state["orbits"] += group_order // test.aut_order
-            yield cand or Matrix(n=n, m=m, p=p, rows=tuple(prefix))
-            return n
-        depth = len(prefix)
-        for i in range(start, len(rows)):  # rows[start] is the last row placed
-            charge()
-            if len(path) > depth:
-                del path[depth:]
-            prefix.append(rows[i])
-            cut = yield from extend(prefix, rows, i)
-            prefix.pop()
-            if cut <= depth:  # the prefix placed so far is refuted
-                return cut
-        return n
-
-    path: list = []  # first_path's entries for the rows of the prefix
     for first in firsts:
         charge()
-        path.clear()
         s = m - first.count(0)
         # The rows a later row may be: >= the first, with at least its s nonzeros.
         rows = [r for r in all_rows if r >= first and m - r.count(0) >= s]
-        yield from extend([first], rows, 0)
+        # prefix[j] is rows[index[j]]; rows[i] is the next row to try after it.
+        prefix, index, path, i = [first], [0], [], 0
+        while True:
+            if len(prefix) < n and i < len(rows):  # place rows[i]; the next position starts at it
+                charge()
+                prefix.append(rows[i])
+                index.append(i)
+                continue
+            cut = len(prefix)  # a leaf, or no row is left for the next position
+            if cut == n:
+                cand = None if weight is None else Matrix(n=n, m=m, p=p, rows=tuple(prefix))
+                if not cand or hadamard.is_weighing(cand, weight):
+                    test = first_path(prefix, p, path)
+                    if test is None:
+                        cand = cand or Matrix(n=n, m=m, p=p, rows=tuple(prefix))
+                        try:
+                            test = is_minimal(cand, budget=budget - state["nodes"])
+                        except BudgetExceededError as exc:
+                            charge(exc.nodes)  # past the budget, so this raises
+                            raise
+                        charge(test.nodes)
+                    if test.minimal:
+                        state["emitted"] += 1
+                        state["orbits"] += group_order // test.aut_order
+                        yield cand or Matrix(n=n, m=m, p=p, rows=tuple(prefix))
+                    else:
+                        cut = test.prefix  # the first `cut` rows are refuted
+            # The one unwind rule: position cut - 1 takes its next row.
+            if cut <= 1:
+                break
+            i = index[cut - 1] + 1
+            del prefix[cut - 1:], index[cut - 1:], path[cut - 1:]
 
 
 def _partition(job) -> tuple[list, int, int]:

@@ -207,7 +207,7 @@ def first_path(rows, p: int, path: list) -> MinimalityResult | None:
     else None; `path` keeps that path row by row for the next call.
 
     The key of a row under the column cells of the rows above row k is
-    `_RowSearch`'s: its digits sorted within each cell, cells in order.
+    `_key`'s, the engine's: its digits sorted within each cell, cells in order.
     `path[j]` is (colors of the rows above row j, row j's key under them,
     whether some row up to j ties an earlier row's key); a copy of the row
     above shares its entry.  Entries past the end of `path` are computed
@@ -248,7 +248,7 @@ def first_path(rows, p: int, path: list) -> MinimalityResult | None:
         for entry in path:
             if entry is not above:
                 above = entry
-                other = sorted(map(add, entry[0], row))
+                other = _key(entry[0], row)
                 if other < entry[1]:
                     return MinimalityResult(False, None, 0, j + 1)
                 tied = tied or other == entry[1]
@@ -257,6 +257,11 @@ def first_path(rows, p: int, path: list) -> MinimalityResult | None:
         return None
     return MinimalityResult(True, copy_symmetries([len(list(g)) for _, g in groupby(rows)],
                                                   path[-1][1]), 0)
+
+
+def _key(colors, row) -> list[int]:
+    """A row's key under the column cells `colors` (see _RowSearch)."""
+    return sorted(map(add, colors, row))
 
 
 def copy_symmetries(copies, colors) -> int:
@@ -279,7 +284,7 @@ def _search(a: Matrix, budget, target=None):
     for row in a.rows:
         mult[row] = mult.get(row, 0) + 1
     search = _RowSearch(list(mult), list(mult.values()), a.p, budget, target)
-    depth = search.node((), [], (0,) * a.m, 1, tuple(range(len(mult))), 0, False)
+    depth = search.node((), (0,) * a.m, tuple(range(len(mult))), [], 1, 0, False)
     return search, depth
 
 
@@ -325,7 +330,7 @@ class _RowSearch:
         self.generators: list[tuple[int, ...]] = []
         self.orbit_product = 1
 
-    def node(self, ids, canon, colors, cells, remaining, rel, eq_first) -> int:
+    def node(self, ids, colors, remaining, canon, cells, rel, eq_first) -> int:
         """Search below one node; returns the depth the search unwinds to.
 
         `cells` is the number of column cells, the distinct values of
@@ -335,103 +340,101 @@ class _RowSearch:
         0, +1) and `eq_first` says whether it equals the first leaf's
         prefix; each is meaningless while there is no `best`, respectively
         no first leaf.  A chain of nodes with one child each is walked in a
-        loop, so the recursion only grows at branching nodes.
-        """
+        loop, so the recursion only grows at branching nodes.  `canon` is
+        restored on return."""
         p, rows, mult = self.p, self.rows, self.mult
         start = len(canon)
-        while True:
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise BudgetExceededError(
-                    f"canonical-form search exceeded its node budget {self.budget}",
-                    nodes=self.nodes)
-            if not remaining:
-                target = self._leaf(ids, canon, colors, rel, eq_first)
-                del canon[start:]
-                return target
-            discrete = cells == len(colors)
-            if discrete:
-                # Every cell is one column, so no two keys tie: the unplaced
-                # rows follow in ascending order, all in one step.
-                col_order = sorted(range(cells), key=colors.__getitem__)
-                block, order = zip(*sorted([(tuple(map(rows[u].__getitem__, col_order)), u)
-                                            for u in remaining]))
-                if len(block) < self.n - len(canon):  # some row has copies
-                    block = tuple([key for key, u in zip(block, order)
-                                   for _ in range(mult[u])])
-            else:
-                least, most, tied = [math.inf], 0, None  # [inf] is above every key
-                for u in remaining:
-                    key = sorted(map(add, colors, rows[u]))
-                    if key > least or key == least and mult[u] < most:
-                        continue
-                    if key == least and mult[u] == most:
-                        tied.append(u)
-                    else:
-                        least, most, tied = key, mult[u], [u]
-                block = (tuple([v % p for v in least]),) * most
-            if self.best is not None:
-                k = len(canon)
-                if rel == 0:
-                    best_block = self.best[0][k:k + len(block)]
-                    if block != best_block:
-                        rel = 1 if block > best_block else -1
-                # While `best` is the first leaf, rel == 0 says the block
-                # matches that leaf too.
-                if eq_first and (rel or self.best is not self.first):
-                    eq_first = block == self.first[0][k:k + len(block)]
-                if rel > 0 and not eq_first:
-                    del canon[start:]
-                    return len(ids)
-                if rel < 0 and self.stop_below:
-                    del canon[start:]
-                    self.below = self._rows_below(
-                        ids, order if discrete else [min(tied)], block, best_block)
-                    return -1
-            canon += block
-            if discrete:
-                ids += order
-                remaining = ()
-                continue
-            # Split every cell by the chosen row's digit, smaller digits first.
-            cells = len(set(least))
-            if len(tied) > 1:
-                break
-            u = tied[0]
-            ids += (u,)
-            colors = tuple([v * p for v in map(add, colors, rows[u])])
-            i = remaining.index(u)
-            remaining = remaining[:i] + remaining[i + 1:]
-        depth = len(ids)
-        on_first_path = self.first is None
-        explored: list[int] = []
-        roots = None
-        seen_gens = -1
-        for u in tied:
-            if explored and self.generators:
-                if seen_gens != len(self.generators):
-                    seen_gens = len(self.generators)
-                    roots = self._orbit_roots(ids)
-                if roots[u] in {roots[e] for e in explored}:
+        try:
+            while True:
+                self.nodes += 1
+                if self.nodes > self.budget:
+                    raise BudgetExceededError(
+                        f"canonical-form search exceeded its node budget {self.budget}",
+                        nodes=self.nodes)
+                if not remaining:
+                    return self._leaf(ids, canon, colors, rel, eq_first)
+                discrete = cells == len(colors)
+                if discrete:
+                    # Every cell is one column, so no two keys tie: the unplaced
+                    # rows follow in ascending order, all in one step.
+                    col_order = sorted(range(cells), key=colors.__getitem__)
+                    block, order = zip(*sorted([(tuple(map(rows[u].__getitem__, col_order)), u)
+                                                for u in remaining]))
+                    if len(block) < self.n - len(canon):  # some row has copies
+                        block = tuple([key for key, u in zip(block, order)
+                                       for _ in range(mult[u])])
+                else:
+                    least, most, tied = [math.inf], 0, None  # [inf] is above every key
+                    for u in remaining:
+                        key = _key(colors, rows[u])
+                        if key > least or key == least and mult[u] < most:
+                            continue
+                        if key == least and mult[u] == most:
+                            tied.append(u)
+                        else:
+                            least, most, tied = key, mult[u], [u]
+                    block = (tuple([v % p for v in least]),) * most
+                if self.best is not None:
+                    k = len(canon)
+                    if rel == 0:
+                        best_block = self.best[0][k:k + len(block)]
+                        if block != best_block:
+                            rel = 1 if block > best_block else -1
+                    # While `best` is the first leaf, rel == 0 says the block
+                    # matches that leaf too.
+                    if eq_first and (rel or self.best is not self.first):
+                        eq_first = block == self.first[0][k:k + len(block)]
+                    if rel > 0 and not eq_first:
+                        return len(ids)
+                    if rel < 0 and self.stop_below:
+                        self.below = self._rows_below(
+                            ids, order if discrete else [min(tied)], block, best_block)
+                        return -1
+                canon += block
+                if discrete:
+                    ids += order
+                    remaining = ()
                     continue
-            explored.append(u)
-            before = self.best
-            target = self.node(ids + (u,), canon,
-                               tuple([v * p for v in map(add, colors, rows[u])]),
-                               cells, tuple(x for x in remaining if x != u), rel, eq_first)
-            if target < depth:
-                del canon[start:]
-                return target
-            if self.best is not before:  # _leaf made a new leaf the incumbent
-                rel, eq_first = 0, eq_first or on_first_path
-        del canon[start:]
-        if on_first_path:
-            # Automorphisms preserve keys, so the orbit lies within `tied`.
-            # A minimal target's own row order takes tied[0] at every node
-            # and is never cut, so its first leaf lies below tied[0] too.
-            roots = self._orbit_roots(ids)
-            self.orbit_product *= roots.count(roots[tied[0]])
-        return depth
+                # Split every cell by the chosen row's digit, smaller digits first.
+                cells = len(set(least))
+                if len(tied) > 1:
+                    break
+                ids, colors, remaining = self._child(tied[0], ids, colors, remaining)
+            depth = len(ids)
+            on_first_path = self.first is None
+            explored: list[int] = []
+            roots = None
+            seen_gens = -1
+            for u in tied:
+                if explored and self.generators:
+                    if seen_gens != len(self.generators):
+                        seen_gens = len(self.generators)
+                        roots = self._orbit_roots(ids)
+                    if roots[u] in {roots[e] for e in explored}:
+                        continue
+                explored.append(u)
+                before = self.best
+                target = self.node(*self._child(u, ids, colors, remaining),
+                                   canon, cells, rel, eq_first)
+                if target < depth:
+                    return target
+                if self.best is not before:  # _leaf made a new leaf the incumbent
+                    rel, eq_first = 0, eq_first or on_first_path
+            if on_first_path:
+                # Automorphisms preserve keys, so the orbit lies within `tied`.
+                # A minimal target's own row order takes tied[0] at every node
+                # and is never cut, so its first leaf lies below tied[0] too.
+                roots = self._orbit_roots(ids)
+                self.orbit_product *= roots.count(roots[tied[0]])
+            return depth
+        finally:
+            del canon[start:]
+
+    def _child(self, u, ids, colors, remaining):
+        """(ids, colors, remaining) of the child that places row u."""
+        i = remaining.index(u)
+        return (ids + (u,), tuple([v * self.p for v in map(add, colors, self.rows[u])]),
+                remaining[:i] + remaining[i + 1:])
 
     def _rows_below(self, ids, order, block, best_block) -> list[tuple[int, int]]:
         """(row id, copies) of every row a block below the target rests on:

@@ -66,9 +66,9 @@ class Matrix(namedtuple("Matrix", "n m p rows")):
 
 
 def check_shape(n: int, m: int, p: int) -> None:
-    """Raise ParseError unless n, m >= 1 and p >= 2."""
-    if n < 1 or m < 1 or p < 2:
-        raise ParseError(f"invalid shape/base n={n} m={m} p={p}")
+    """Raise ParseError unless n, m and p are ints (not bools), n, m >= 1 and p >= 2."""
+    if not (type(n) is type(m) is type(p) is int) or n < 1 or m < 1 or p < 2:
+        raise ParseError(f"invalid shape/base n={n!r} m={m!r} p={p!r}")
 
 
 class RowCode(namedtuple("RowCode", "width base digits")):

@@ -453,6 +453,13 @@ class TestManifest:
         assert manifest["nodes"] > 0
         assert manifest["result"] == "count=7"
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_search_deeper_than_the_recursion_limit(self, tmp_path, workers):
+        path = str(tmp_path / "m.json")
+        code, out = run("--manifest", path, "enumerate", "1000", "1", "2", "--workers", workers)
+        assert code == 0 and out.endswith("\n# count=1001\n")
+        assert read_json(path)["result"] == "count=1001"
+
 
 def loaded_after_count(module, *options):
     """Whether a fresh interpreter has `module` loaded after `count 2 2 3`

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +128,13 @@ class TestEnumerate:
         b = [r.rows for r in enumerate_canonical(3, 3, 2)]
         assert a == b
 
+    def test_deeper_than_the_recursion_limit(self):
+        # The search is one loop, so its depth needs no stack frames:
+        # n x 1 over p=2 has one class per number of ones.
+        n = sys.getrecursionlimit() + 10
+        reps = list(enumerate_canonical(n, 1, 2))
+        assert len(reps) == n + 1 and reps[-1].rows == ((1,),) * n
+
 
 class TestNoBudget:
     """budget=None is no limit: the same classes, nodes and orbits as the
@@ -215,6 +223,14 @@ class TestCensus:
         monkeypatch.setattr(enumeration, "burnside_count", never)
         with pytest.raises(ParseError, match=r"invalid shape/base n=-1 m=2 p=2"):
             census(-1, 2, 2)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2.0), (2, 2.0, 2), (True, 2, 2)],
+                             ids=["float-p", "float-m", "bool-n"])
+    @pytest.mark.parametrize("runner", [census, enumeration.run_partitions],
+                             ids=["census", "run_partitions"])
+    def test_shape_that_is_not_ints_raises(self, runner, shape):
+        with pytest.raises(ParseError, match="invalid shape/base"):
+            runner(*shape)
 
     @pytest.mark.parametrize("workers", [0, -3])
     @pytest.mark.parametrize("runner", [census, enumeration.run_partitions],

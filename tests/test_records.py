@@ -6,8 +6,8 @@ import pickle
 import pytest
 
 from canonmat import (CanonicityReport, CanonResult, ClassCensus,
-                      DigitRangeError, Matrix, MinimalityResult, PermPair,
-                      Permutation, RowCode, RowStats, census, encode_rows,
+                      DigitRangeError, Matrix, MinimalityResult, ParseError,
+                      PermPair, Permutation, RowCode, RowStats, census, encode_rows,
                       is_canonical, is_minimal, pruned_canonical_form,
                       row_stats)
 from canonmat.canonicity import ConditionResult
@@ -46,7 +46,11 @@ REJECTED = {
              # Rows and their container are tuples, so the record hashes.
              ({"n": 1, "m": 1, "rows": [[0]]}, ValueError),
              ({"rows": [(0, 0, 1), (0, 1, 1)]}, ValueError),
-             ({"rows": ((0, 0, 1), [0, 1, 1])}, ValueError)],
+             ({"rows": ((0, 0, 1), [0, 1, 1])}, ValueError),
+             # The shape and base are ints too, so the header parses back as itself.
+             ({"n": 1, "m": 1, "p": 2.5, "rows": ((1,),)}, ParseError),
+             ({"n": True, "m": 1, "rows": ((1,),)}, ParseError),
+             ({"m": 3.0}, ParseError)],
     Permutation: [({"images": (0, 2)}, ValueError),
                   ({"images": (0.0, 1.0)}, ValueError),
                   ({"images": (True, False)}, ValueError),
