@@ -4,7 +4,9 @@ classifications built on it, and orbit-count oracles.
 Generation is a depth-first search over row codes: the first row must have
 the zeros-then-nondecreasing-nonzeros shape every canonical matrix starts
 with, and each later row is >= its predecessor and carries at least as many
-nonzero entries as the first (all provably necessary for minimality).
+nonzero entries as the first (all provably necessary for minimality).  Each
+first row is a partition, charged before one filter over the p^m rows lists
+its later rows; a budget of 1 or more lists one before its second charge.
 Completed candidates are kept iff they are their own class minimum.  The
 six-condition structural check is deliberately NOT the leaf filter: it
 admits non-minimal matrices (e.g. at 3x3 over p=3) and rejects some minima
@@ -96,8 +98,10 @@ def check_arguments(n: int, m: int, p: int, weight: int | None = None,
                     workers: int = 1) -> None:
     """Raise ParseError unless the arguments name a valid search: a valid
     shape and base, a weight only on n x n over p=3 with 1 <= weight <= n,
-    and at least one worker."""
+    and at least one worker; weight and workers are ints, not bools."""
     check_shape(n, m, p)
+    if (weight is not None and type(weight) is not int) or type(workers) is not int:
+        raise ParseError(f"weight and workers must be ints, got {weight!r} and {workers!r}")
     if weight is not None and (n != m or p != 3):
         raise ParseError(f"weight needs an n x n shape over p=3, got {n}x{m} p={p}")
     if weight is not None and not 1 <= weight <= n:
@@ -130,8 +134,6 @@ def enumerate_canonical(n: int, m: int, p: int, weight: int | None = None,
 def _enumerate(n, m, p, weight, budget, state, firsts) -> Iterator[Matrix]:
     """The search below the given first rows, on checked arguments and a
     numeric budget (math.inf for none)."""
-    all_rows = [r for r in itertools.product(range(p), repeat=m)
-                if weight is None or m - r.count(0) == weight]
     group_order = math.factorial(n) * math.factorial(m)
     state.update(nodes=0, emitted=0, orbits=0)
 
@@ -145,8 +147,9 @@ def _enumerate(n, m, p, weight, budget, state, firsts) -> Iterator[Matrix]:
     for first in firsts:
         charge()
         s = m - first.count(0)
-        # The rows a later row may be: >= the first, with at least its s nonzeros.
-        rows = [r for r in all_rows if r >= first and m - r.count(0) >= s]
+        # Later rows: >= the first, with s nonzeros or more (exactly s under a weight).
+        rows = [r for r in itertools.product(range(p), repeat=m)
+                if r >= first and s <= m - r.count(0) <= (weight or m)]
         # prefix[j] is rows[index[j]]; rows[i] is the next row to try after it.
         prefix, index, path, i = [first], [0], [], 0
         while True:
@@ -165,7 +168,8 @@ def _enumerate(n, m, p, weight, budget, state, firsts) -> Iterator[Matrix]:
                         try:
                             test = is_minimal(cand, budget=budget - state["nodes"])
                         except BudgetExceededError as exc:
-                            charge(exc.nodes)  # past the budget, so this raises
+                            charge(exc.nodes)  # raises if past the budget; else it is the depth guard
+                            exc.nodes, exc.partial_count = state["nodes"], state["emitted"]
                             raise
                         charge(test.nodes)
                     if test.minimal:

@@ -126,7 +126,7 @@ def pruned_canonical_form(a: Matrix, budget: int | None = None) -> CanonResult:
 
     `apply(a, result.witness) == result.canonical`, the least row code in
     the class of `a`, for any width.  Each search node is charged against `budget`; running out
-    raises BudgetExceededError carrying the node count.
+    raises BudgetExceededError carrying the node count, as does branching past the recursion limit.
     """
     search, _ = _search(a, budget)
     canon, ids, colors = search.best
@@ -284,8 +284,11 @@ def _search(a: Matrix, budget, target=None):
     for row in a.rows:
         mult[row] = mult.get(row, 0) + 1
     search = _RowSearch(list(mult), list(mult.values()), a.p, budget, target)
-    depth = search.node((), (0,) * a.m, tuple(range(len(mult))), [], 1, 0, False)
-    return search, depth
+    try:
+        return search, search.node((), (0,) * a.m, tuple(range(len(mult))), [], 0, False)
+    except RecursionError:
+        raise BudgetExceededError("depth guard: canonical-form search branched deeper "
+                                  "than the recursion limit allows", nodes=search.nodes) from None
 
 
 class _RowSearch:
@@ -296,14 +299,15 @@ class _RowSearch:
     down the rows placed so far as a base-p numeral.  Columns of one color
     form a cell, and cells go in color order, so sorting a row's values
     colors[j] + row[j] sorts its digits within each cell, cells in order:
-    that is the row's key.  The
-    children of a node are the unplaced rows whose (key, -multiplicity) is
-    least.  All of them append the same canonical rows, so the prefix
-    comparisons against the incumbent (`best`) and the first leaf are made
-    once per node.  A leaf equal to `best` or to the first leaf yields a row
-    automorphism; the search then unwinds to the node where the two paths
-    split, whose current child that automorphism maps onto an already
-    finished sibling.
+    that is the row's key.  The children of a node are the unplaced rows
+    whose (key, -multiplicity) is least.  All of them append the same
+    canonical rows, so the prefix comparisons against the incumbent (`best`)
+    and the first leaf are made once per node.  At a discrete node, whose
+    colors are distinct, no two keys tie: the unplaced rows follow in
+    ascending order, each repeated by its copies, in one step.  A leaf
+    equal to `best` or to the first leaf yields a row automorphism; the
+    search then unwinds to the node where the two paths split, whose
+    current child that automorphism maps onto an already finished sibling.
 
     Given `target` rows, the search tests their minimality instead: they are
     the incumbent from the root, and a node whose block falls below them
@@ -313,13 +317,12 @@ class _RowSearch:
     row ids ascend with the target's row indices.
     """
 
-    __slots__ = ("rows", "mult", "n", "p", "budget", "nodes", "first", "best",
+    __slots__ = ("rows", "mult", "p", "budget", "nodes", "first", "best",
                  "stop_below", "below", "generators", "orbit_product")
 
     def __init__(self, rows, mult, p, budget, target=None):
         self.rows = rows
         self.mult = mult
-        self.n = sum(mult)
         self.p = p
         self.budget = math.inf if budget is None else budget
         self.nodes = 0
@@ -330,13 +333,12 @@ class _RowSearch:
         self.generators: list[tuple[int, ...]] = []
         self.orbit_product = 1
 
-    def node(self, ids, colors, remaining, canon, cells, rel, eq_first) -> int:
+    def node(self, ids, colors, remaining, canon, rel, eq_first) -> int:
         """Search below one node; returns the depth the search unwinds to.
 
-        `cells` is the number of column cells, the distinct values of
-        `colors`.  One pass over the unplaced rows finds the least key, the
-        most copies among the rows with that key, and the rows with both:
-        the children.  `rel` compares `canon` with the same rows of `best` (-1,
+        One pass over the unplaced rows finds the least key, the most
+        copies among the rows with that key, and the rows with both: the
+        children.  `rel` compares `canon` with the same rows of `best` (-1,
         0, +1) and `eq_first` says whether it equals the first leaf's
         prefix; each is meaningless while there is no `best`, respectively
         no first leaf.  A chain of nodes with one child each is walked in a
@@ -353,16 +355,12 @@ class _RowSearch:
                         nodes=self.nodes)
                 if not remaining:
                     return self._leaf(ids, canon, colors, rel, eq_first)
-                discrete = cells == len(colors)
+                discrete = len(set(colors)) == len(colors)
                 if discrete:
-                    # Every cell is one column, so no two keys tie: the unplaced
-                    # rows follow in ascending order, all in one step.
-                    col_order = sorted(range(cells), key=colors.__getitem__)
+                    col_order = sorted(range(len(colors)), key=colors.__getitem__)
                     block, order = zip(*sorted([(tuple(map(rows[u].__getitem__, col_order)), u)
                                                 for u in remaining]))
-                    if len(block) < self.n - len(canon):  # some row has copies
-                        block = tuple([key for key, u in zip(block, order)
-                                       for _ in range(mult[u])])
+                    block = tuple([key for key, u in zip(block, order) for _ in range(mult[u])])
                 else:
                     least, most, tied = [math.inf], 0, None  # [inf] is above every key
                     for u in remaining:
@@ -395,8 +393,6 @@ class _RowSearch:
                     ids += order
                     remaining = ()
                     continue
-                # Split every cell by the chosen row's digit, smaller digits first.
-                cells = len(set(least))
                 if len(tied) > 1:
                     break
                 ids, colors, remaining = self._child(tied[0], ids, colors, remaining)
@@ -415,7 +411,7 @@ class _RowSearch:
                 explored.append(u)
                 before = self.best
                 target = self.node(*self._child(u, ids, colors, remaining),
-                                   canon, cells, rel, eq_first)
+                                   canon, rel, eq_first)
                 if target < depth:
                     return target
                 if self.best is not before:  # _leaf made a new leaf the incumbent

@@ -461,6 +461,41 @@ class TestManifest:
         assert read_json(path)["result"] == "count=1001"
 
 
+def run_cli(argv, prelude="", **kwargs):
+    """A fresh interpreter's run of the CLI on `argv` after `prelude`."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    script = f"import sys\n{prelude}\nfrom canonmat.cli import main\nsys.exit(main({argv!r}))\n"
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), **kwargs)
+
+
+def test_canonize_deeper_than_the_recursion_limit_exits_4(tmp_path):
+    # The identity branches at every row, one engine frame per branch.
+    identity = Matrix(250, 250, 2, tuple(tuple(int(i == j) for j in range(250))
+                                         for i in range(250)))
+    path, manifest = write(tmp_path, "identity.txt", identity), str(tmp_path / "m.json")
+    done = run_cli(["--manifest", manifest, "canonize", path], "sys.setrecursionlimit(200)")
+    assert done.returncode == 4 and done.stdout == ""
+    assert done.stderr.startswith("error: depth guard")
+    assert "Traceback" not in done.stderr
+    recorded = read_json(manifest)
+    assert recorded["result"].startswith("budget exceeded")
+    assert 0 < recorded["nodes"] < 250
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps memory on Linux")
+def test_budget_zero_stops_before_building_rows():
+    # 2^26 rows of 26 entries do not fit in 600 MiB; the first charge comes first.
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
+
+    done = run_cli(["--budget", "0", "enumerate", "1", "26", "2"], preexec_fn=cap)
+    assert done.returncode == 4 and done.stdout == ""
+    assert done.stderr == "error: node budget 0 exceeded\n"
+
+
 def loaded_after_count(module, *options):
     """Whether a fresh interpreter has `module` loaded after `count 2 2 3`
     with the given global options."""

@@ -123,6 +123,19 @@ class TestEnumerate:
             assert got == reps[:len(got)]
         assert overruns_in_leaf_test
 
+    def test_depth_guard_in_a_leaf_test_counts_the_partition(self, monkeypatch):
+        # An engine that branches past the recursion limit raises with its own
+        # nodes, under the budget; the error then carries the partition's total.
+        def too_deep(a, budget=None):
+            raise BudgetExceededError("depth guard", nodes=3)
+
+        monkeypatch.setattr(enumeration, "first_path", lambda rows, p, path: None)
+        monkeypatch.setattr(enumeration, "is_minimal", too_deep)
+        with pytest.raises(BudgetExceededError, match="depth guard") as exc:
+            list(enumerate_canonical(3, 3, 2))
+        # The first partition places its first row and two more, then the leaf test.
+        assert (exc.value.nodes, exc.value.partial_count) == (3 + 3, 0)
+
     def test_determinism(self):
         a = [r.rows for r in enumerate_canonical(3, 3, 2)]
         b = [r.rows for r in enumerate_canonical(3, 3, 2)]
@@ -231,6 +244,20 @@ class TestCensus:
     def test_shape_that_is_not_ints_raises(self, runner, shape):
         with pytest.raises(ParseError, match="invalid shape/base"):
             runner(*shape)
+
+    @pytest.mark.parametrize("runner,args,option", [
+        (census, (2, 2, 2), {"workers": 1.5}),
+        (census, (2, 2, 2), {"workers": True}),
+        (enumeration.run_partitions, (2, 2, 2), {"workers": 1.5}),
+        (enumeration.run_partitions, (2, 2, 2), {"workers": True}),
+        (enumeration.run_partitions, (4, 4, 3), {"weight": 2.0}),
+        (enumeration.run_partitions, (4, 4, 3), {"weight": True}),
+    ], ids=["census-float-workers", "census-bool-workers", "run_partitions-float-workers",
+            "run_partitions-bool-workers", "run_partitions-float-weight",
+            "run_partitions-bool-weight"])
+    def test_weight_or_workers_that_is_not_an_int_raises(self, runner, args, option):
+        with pytest.raises(ParseError, match="weight and workers must be ints"):
+            runner(*args, **option)
 
     @pytest.mark.parametrize("workers", [0, -3])
     @pytest.mark.parametrize("runner", [census, enumeration.run_partitions],
