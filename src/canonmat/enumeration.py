@@ -6,7 +6,8 @@ the zeros-then-nondecreasing-nonzeros shape every canonical matrix starts
 with, and each later row is >= its predecessor and carries at least as many
 nonzero entries as the first (all provably necessary for minimality).  Each
 first row is a partition, charged before one filter over the p^m rows lists
-its later rows; a budget of 1 or more lists one before its second charge.
+its later rows, at n > 1 only; a budget of 1 or more lists one before its
+second charge.
 Completed candidates are kept iff they are their own class minimum.  The
 six-condition structural check is deliberately NOT the leaf filter: it
 admits non-minimal matrices (e.g. at 3x3 over p=3) and rejects some minima
@@ -20,23 +21,26 @@ the engine itself where that path would branch.  `equivalence.first_path`
 keys each row once per prefix, as the engine would, and at no node either
 refutes a prefix (its last row is not sorted within its own cells, or keys
 below an earlier row) or, if no key ties an earlier row, certifies the
-candidate with |Aut| = Π(row copies)! · Π(equal columns)!.  Only a
-candidate with a tie goes to `is_minimal`, the engine's early-exit mode,
-which rejects a candidate that is not semi-canonical with no search and
-otherwise stops at the first arrangement below the candidate.  Its search
-nodes count in the enumerator's node total and budget; a leaf decided on
-the first path spends none, since its rows were charged when they were
-placed.
+candidate with |Aut| = Π(row copies)! · Π(equal columns)!.  A candidate
+with a tie goes to `equivalence.resume_minimal` on the same path.  With no
+search node it refutes the candidate where a tied row has more copies than
+the row it ties, and certifies it where every tied row has fewer; otherwise
+it runs the engine's early-exit mode from the candidate as the first leaf,
+over the other children of each branching node on the path, and stops at
+the first arrangement below the candidate.  Those search nodes count in the
+enumerator's node total and budget; a leaf decided with no search spends
+none, since its rows were charged when they were placed.
 
 A rejection also names the length k of the leading row block it rests on:
-the prefix the first path refutes, the shortest prefix that is not
-semi-canonical, or one more than the last row of the candidate that the
-engine's arrangement below it used.  Each time the first k rows are not
-their own class minimum.  Every row prefix of a class minimum is one (Read,
-*Every one a winner*, 1978; Kaski and Östergård, 2006, ch. 4): under any
-column order the k least rows of a matrix are elementwise at most its first
-k rows sorted, so a prefix with a smaller arrangement gives the whole
-matrix one too.  So no matrix that starts with those k rows is tried.
+the prefix the first path refutes, the shortest prefix through one copy
+more of a tied row than the row it ties has, or one more than the last row
+of the candidate that the engine's arrangement below it used.  Each time
+the first k rows are not their own class minimum.  Every row prefix of a
+class minimum is one (Read, *Every one a winner*, 1978; Kaski and
+Östergård, 2006, ch. 4): under any column order the k least rows of a
+matrix are elementwise at most its first k rows sorted, so a prefix with a
+smaller arrangement gives the whole matrix one too.  So no matrix that
+starts with those k rows is tried.
 
 The search is one loop, with three stacks per partition: the rows placed,
 their indices in the partition's row list, and the first path's entries.
@@ -63,7 +67,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from . import hadamard
-from .equivalence import first_path, is_minimal, pruned_canonical_form
+from .equivalence import first_path, pruned_canonical_form, resume_minimal
 from .errors import BudgetExceededError, IntegrityError, ParseError
 from .matrices import Matrix, check_shape, format_matrix
 
@@ -119,9 +123,9 @@ def enumerate_canonical(n: int, m: int, p: int, weight: int | None = None,
     row has k nonzero entries, which prunes, and each complete candidate must
     satisfy W W^T = k I (`hadamard.is_weighing`) before its leaf test.
     `budget` caps the nodes: partial rows placed plus the search nodes of
-    every leaf test that reaches the engine.  A leaf decided on the first
-    path (see the module docstring) spends no node, since its rows were
-    charged when they were placed.  `counters`, when passed, gets running
+    every leaf test that runs the engine.  A leaf decided with no search
+    (see the module docstring) spends no node, since its rows were charged
+    when they were placed.  `counters`, when passed, gets running
     totals: "nodes", "emitted" classes, and "orbits", the sum of their class
     sizes n! * m! / |Aut|.  A bad shape, base or weight raises ParseError at the
     call, before any iteration.
@@ -148,8 +152,9 @@ def _enumerate(n, m, p, weight, budget, state, firsts) -> Iterator[Matrix]:
         charge()
         s = m - first.count(0)
         # Later rows: >= the first, with s nonzeros or more (exactly s under a weight).
+        # At n = 1 the first row is a leaf, and no later row is placed.
         rows = [r for r in itertools.product(range(p), repeat=m)
-                if r >= first and s <= m - r.count(0) <= (weight or m)]
+                if r >= first and s <= m - r.count(0) <= (weight or m)] if n > 1 else []
         # prefix[j] is rows[index[j]]; rows[i] is the next row to try after it.
         prefix, index, path, i = [first], [0], [], 0
         while True:
@@ -164,9 +169,9 @@ def _enumerate(n, m, p, weight, budget, state, firsts) -> Iterator[Matrix]:
                 if not cand or hadamard.is_weighing(cand, weight):
                     test = first_path(prefix, p, path)
                     if test is None:
-                        cand = cand or Matrix(n=n, m=m, p=p, rows=tuple(prefix))
                         try:
-                            test = is_minimal(cand, budget=budget - state["nodes"])
+                            test = resume_minimal(prefix, p, path,
+                                                  budget=budget - state["nodes"])
                         except BudgetExceededError as exc:
                             charge(exc.nodes)  # raises if past the budget; else it is the depth guard
                             exc.nodes, exc.partial_count = state["nodes"], state["emitted"]

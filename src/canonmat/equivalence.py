@@ -17,7 +17,10 @@ shortest leading row block of the candidate it rests on, which the
 enumerator unwinds to.  `first_path` walks the same search's first path
 along a sorted candidate, one row at a time, so that a caller extending the
 candidate row by row reuses it; it decides every candidate on which the
-search would not branch.
+search would not branch.  `resume_minimal` decides the rest from that
+path: copy counts settle most key ties, and the engine, started from the
+candidate as its first leaf, runs only the other children of the branching
+nodes on the path.
 
 The permutations, witness pairs and both search results are named tuples;
 `Permutation` checks that its images are a tuple of ints that form a
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import compress, count, groupby
+from itertools import compress, count
 from operator import add, ne
 
 from .canonicity import unsorted_prefix
@@ -192,13 +195,16 @@ def is_minimal(a: Matrix, budget: int | None = None) -> MinimalityResult:
     refuted = unsorted_prefix(a)
     if refuted:
         return MinimalityResult(False, None, 0, refuted)
-    search, depth = _search(a, budget, target=a.rows)
+    return _verdict(*_search(a, budget, target=a.rows), a.rows)
+
+
+def _verdict(search, depth, rows) -> MinimalityResult:
+    """The result of a minimality search on `rows` that returned `depth`."""
     if depth < 0:
         # The rows ascend, so row ids do too, and the copies of a row are
         # consecutive: the largest index in S is the last copy of its largest id.
         u, copies = max(search.below)
-        return MinimalityResult(False, None, search.nodes,
-                                a.rows.index(search.rows[u]) + copies)
+        return MinimalityResult(False, None, search.nodes, rows.index(search.rows[u]) + copies)
     return MinimalityResult(True, search.aut_order(), search.nodes)
 
 
@@ -209,10 +215,11 @@ def first_path(rows, p: int, path: list) -> MinimalityResult | None:
     The key of a row under the column cells of the rows above row k is
     `_key`'s, the engine's: its digits sorted within each cell, cells in order.
     `path[j]` is (colors of the rows above row j, row j's key under them,
-    whether some row up to j ties an earlier row's key); a copy of the row
-    above shares its entry.  Entries past the end of `path` are computed
-    here, and the caller truncates `path` where its rows change, so a row
-    shared by many candidates is keyed once.
+    the pairs (k, i) of rows up to j where row i's key under the cells
+    above row k ties row k's); a copy of the row above shares its entry.
+    Entries past the end of `path` are computed here, and the caller
+    truncates `path` where its rows change, so a row shared by many
+    candidates is keyed once.
 
     For row j, not a copy of the row above, and every earlier row k, the
     first of its copies:
@@ -231,8 +238,8 @@ def first_path(rows, p: int, path: list) -> MinimalityResult | None:
     child at every node, the candidate's next row, which appends the
     candidate's rows; its one leaf is the candidate itself, so the answer
     is "yes", with |Aut| = copy_symmetries, and 0 nodes, since the caller
-    paid for each row when it placed it.  Otherwise the search may branch,
-    and the answer is None: run is_minimal.
+    paid for each row when it placed it.  Otherwise the answer is None:
+    run resume_minimal on the same `path`.
     """
     for j in range(len(path), len(rows)):
         row = rows[j]
@@ -243,20 +250,64 @@ def first_path(rows, p: int, path: list) -> MinimalityResult | None:
         key = list(map(add, colors, row))
         if sorted(key) != key:
             return MinimalityResult(False, None, 0, j + 1)
-        tied = bool(path) and path[-1][2]
+        ties = path[-1][2] if path else ()
         above = None
-        for entry in path:
+        for k, entry in enumerate(path):
             if entry is not above:
                 above = entry
                 other = _key(entry[0], row)
                 if other < entry[1]:
                     return MinimalityResult(False, None, 0, j + 1)
-                tied = tied or other == entry[1]
-        path.append((colors, key, tied))
+                if other == entry[1]:
+                    ties += ((k, j),)
+        path.append((colors, key, ties))
     if path[-1][2]:
         return None
-    return MinimalityResult(True, copy_symmetries([len(list(g)) for _, g in groupby(rows)],
-                                                  path[-1][1]), 0)
+    return MinimalityResult(True, copy_symmetries(list(map(rows.count, set(rows))), path[-1][1]), 0)
+
+
+def resume_minimal(rows, p: int, path: list, budget: int | None = None) -> MinimalityResult:
+    """`is_minimal` on the ascending `rows` that first_path left open, with
+    its `path`: the search picks up after its first leaf, `rows` itself.
+
+    The engine's children at a node are the unplaced rows with the least
+    key and, among those, the most copies.  On the first path the least key
+    at row k's node is row k's, so a pair (k, j) of `path` is a tie there:
+
+    - If row j has more copies than row k, the node's block repeats row k's
+      key past row k's copies, where `rows` has a greater row: the answer
+      is "no" at 0 nodes.  Its prefix runs through the (copies of k + 1)-th
+      copy of row j (case 2 of is_minimal); the shortest such prefix is taken.
+    - If row j has fewer copies, it is no child there.
+    - Equal copies make row k's node a branching node.
+
+    With no branching node the first path is the whole search, and the
+    answer is "yes" with |Aut| = copy_symmetries at 0 nodes.  Otherwise
+    the engine starts from `rows` as its first leaf and incumbent, and runs
+    the children after the first of each branching node on the first path,
+    deepest first (_RowSearch.resume).  Nothing on the first path is
+    searched again, so the nodes are is_minimal's less those of its first
+    path.  Budget and depth guard as for is_minimal.
+    """
+    copies = rows.count  # the rows ascend, so the copies of a row are consecutive
+    ties = path[-1][2]
+    refuted = [j + copies(rows[k]) + 1 for k, j in ties if copies(rows[j]) > copies(rows[k])]
+    if refuted:
+        return MinimalityResult(False, None, 0, min(refuted))
+    children: dict = {}  # branching row k -> the first rows of its children: k, then its ties
+    for k, j in ties:
+        if copies(rows[j]) == copies(rows[k]):
+            children.setdefault(k, [k]).append(j)
+    if not children:
+        return MinimalityResult(True, copy_symmetries(list(map(copies, set(rows))), path[-1][1]), 0)
+    distinct = list(dict.fromkeys(rows))
+    search = _RowSearch(distinct, list(map(copies, distinct)), p, budget, tuple(rows))
+    nodes = []
+    for k in sorted(children, reverse=True):
+        u = distinct.index(rows[k])
+        nodes.append((tuple(range(u)), path[k][0], tuple(range(u, len(distinct))),
+                      rows[:k + copies(rows[k])], [distinct.index(rows[i]) for i in children[k]]))
+    return _verdict(search, search.guarded(search.resume, path[-1][1], nodes), rows)
 
 
 def _key(colors, row) -> list[int]:
@@ -284,11 +335,8 @@ def _search(a: Matrix, budget, target=None):
     for row in a.rows:
         mult[row] = mult.get(row, 0) + 1
     search = _RowSearch(list(mult), list(mult.values()), a.p, budget, target)
-    try:
-        return search, search.node((), (0,) * a.m, tuple(range(len(mult))), [], 0, False)
-    except RecursionError:
-        raise BudgetExceededError("depth guard: canonical-form search branched deeper "
-                                  "than the recursion limit allows", nodes=search.nodes) from None
+    return search, search.guarded(search.node, (), (0,) * a.m, tuple(range(len(mult))),
+                                  [], 0, False)
 
 
 class _RowSearch:
@@ -308,6 +356,9 @@ class _RowSearch:
     equal to `best` or to the first leaf yields a row automorphism; the
     search then unwinds to the node where the two paths split, whose
     current child that automorphism maps onto an already finished sibling.
+    `node` walks a chain of one-child nodes, and `branch` runs the children
+    of a branching node; `resume` enters the branching nodes of a known
+    first path through `branch`, with their first children done.
 
     Given `target` rows, the search tests their minimality instead: they are
     the incumbent from the root, and a node whose block falls below them
@@ -342,8 +393,8 @@ class _RowSearch:
         0, +1) and `eq_first` says whether it equals the first leaf's
         prefix; each is meaningless while there is no `best`, respectively
         no first leaf.  A chain of nodes with one child each is walked in a
-        loop, so the recursion only grows at branching nodes.  `canon` is
-        restored on return."""
+        loop, so the recursion only grows at branching nodes, which go to
+        `branch`.  `canon` is restored on return."""
         p, rows, mult = self.p, self.rows, self.mult
         start = len(canon)
         try:
@@ -394,37 +445,62 @@ class _RowSearch:
                     remaining = ()
                     continue
                 if len(tied) > 1:
-                    break
+                    return self.branch(ids, colors, remaining, canon, rel, eq_first, tied, [])
                 ids, colors, remaining = self._child(tied[0], ids, colors, remaining)
-            depth = len(ids)
-            on_first_path = self.first is None
-            explored: list[int] = []
-            roots = None
-            seen_gens = -1
-            for u in tied:
-                if explored and self.generators:
-                    if seen_gens != len(self.generators):
-                        seen_gens = len(self.generators)
-                        roots = self._orbit_roots(ids)
-                    if roots[u] in {roots[e] for e in explored}:
-                        continue
-                explored.append(u)
-                before = self.best
-                target = self.node(*self._child(u, ids, colors, remaining),
-                                   canon, rel, eq_first)
-                if target < depth:
-                    return target
-                if self.best is not before:  # _leaf made a new leaf the incumbent
-                    rel, eq_first = 0, eq_first or on_first_path
-            if on_first_path:
-                # Automorphisms preserve keys, so the orbit lies within `tied`.
-                # A minimal target's own row order takes tied[0] at every node
-                # and is never cut, so its first leaf lies below tied[0] too.
-                roots = self._orbit_roots(ids)
-                self.orbit_product *= roots.count(roots[tied[0]])
-            return depth
         finally:
             del canon[start:]
+
+    def branch(self, ids, colors, remaining, canon, rel, eq_first, tied, explored) -> int:
+        """Run a branching node's children `tied` after those in `explored`;
+        returns the depth the search unwinds to.
+
+        `node` enters with none explored.  The search resumed after its
+        first leaf enters a node on the first path with its first child
+        explored, and rel == 0, eq_first true, as after that child.  A child
+        in the orbit of an explored one under the automorphisms found so far
+        that fix the node's rows is skipped.  A node is on the first path
+        when its first child makes the first leaf; it then multiplies the
+        size of that child's orbit into `orbit_product`."""
+        depth = len(ids)
+        on_first_path = self.first is None or bool(explored)
+        roots = None
+        seen_gens = -1
+        for u in tied:
+            if explored and self.generators:
+                if seen_gens != len(self.generators):
+                    seen_gens = len(self.generators)
+                    roots = self._orbit_roots(ids)
+                if roots[u] in {roots[e] for e in explored}:
+                    continue
+            explored.append(u)
+            before = self.best
+            target = self.node(*self._child(u, ids, colors, remaining), canon, rel, eq_first)
+            if target < depth:
+                return target
+            if self.best is not before:  # _leaf made a new leaf the incumbent
+                rel, eq_first = 0, eq_first or on_first_path
+        if on_first_path:
+            # Automorphisms preserve keys, so the orbit lies within the children.
+            # A minimal target's own row order takes the first child at every
+            # node and is never cut, so its first leaf lies below that child too.
+            roots = self._orbit_roots(ids)
+            self.orbit_product *= roots.count(roots[explored[0]])
+        return depth
+
+    def resume(self, colors, nodes) -> int:
+        """Minimality mode from the first leaf on: the target, placed in
+        row-id order, with its final column `colors`.  `nodes` are the
+        branching nodes on the path to it, deepest first, as (ids, colors,
+        remaining, canon, children); each runs its children after the first,
+        unless the depth the one below it unwound to is above it, as when
+        the recursion returns through it."""
+        self.first = self.best = (self.best[0], tuple(range(len(self.rows))), colors)
+        depth = len(self.rows)  # the first leaf's
+        for ids, colors, remaining, canon, tied in nodes:
+            if depth >= len(ids):
+                depth = self.branch(ids, colors, remaining, list(canon), 0, True,
+                                    tied[1:], tied[:1])
+        return depth
 
     def _child(self, u, ids, colors, remaining):
         """(ids, colors, remaining) of the child that places row u."""
@@ -445,6 +521,15 @@ class _RowSearch:
             if d < 0:
                 break
         return below
+
+    def guarded(self, step, *args) -> int:
+        """step(*args), with a RecursionError from a search that branched
+        past the recursion limit raised as BudgetExceededError."""
+        try:
+            return step(*args)
+        except RecursionError:
+            raise BudgetExceededError("depth guard: canonical-form search branched deeper "
+                                      "than the recursion limit allows", nodes=self.nodes) from None
 
     def aut_order(self) -> int:
         """|Aut| once the search is done and has a leaf."""

@@ -285,9 +285,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [["classify-hadamard", "4"],
                                       ["enumerate", "4", "4", "3", "--filter", "hadamard"]])
     def test_budget_boundary_keeps_finished_partitions(self, argv):
-        code, full = run("--budget", "2449", *argv)
+        code, full = run("--budget", "2406", *argv)
         assert code == 0
-        code, partial = run("--budget", "2448", *argv)
+        code, partial = run("--budget", "2405", *argv)
         assert code == 4
         assert partial.startswith("# predicate=hadamard\n4 4 3\n")
         assert full.startswith(partial)
@@ -392,7 +392,7 @@ class TestManifest:
         path = str(tmp_path / "m.json")
         assert run("--manifest", path, "classify-hadamard", "4")[0] == 0
         nodes = read_json(path)["nodes"]
-        assert classify_hadamard(4).nodes == nodes == 2449
+        assert classify_hadamard(4).nodes == nodes == 2406
 
     def test_records_processes_used(self, tmp_path):
         path = str(tmp_path / "m.json")
@@ -406,11 +406,11 @@ class TestManifest:
         assert read_json(path)["workers"] == 2
 
     def test_count_nodes_include_leaf_tests(self, tmp_path):
-        # 870 rows placed and 1,400 leaf-test nodes (tests/test_enumeration.py).
+        # 870 rows placed and 507 leaf-test nodes (tests/test_enumeration.py).
         path = str(tmp_path / "m.json")
         assert run("--manifest", path, "enumerate", "4", "4", "2", "--count-only")[0] == 0
         nodes = read_json(path)["nodes"]
-        assert nodes == 2270
+        assert nodes == 1377
         assert run("--budget", str(nodes), "enumerate", "4", "4", "2",
                    "--count-only") == (0, "count=317 burnside=317 agree=true\n")
         assert run("--manifest", path, "--budget", str(nodes - 1), "enumerate", "4", "4",
@@ -418,15 +418,15 @@ class TestManifest:
         assert read_json(path)["nodes"] == nodes
 
     @pytest.mark.parametrize("budget,workers,nodes",
-                             [("4508", "1", 4509), ("4508", "2", 2693 + 4509),
-                              ("6000", "1", 6001), ("6000", "2", 2693 + 4509)],
-                             ids=["1", "2", "6000-1", "6000-2"])
+                             [("2967", "1", 2968), ("2967", "2", 1810 + 2968),
+                              ("4000", "1", 4001), ("4000", "2", 1810 + 2968)],
+                             ids=["1", "2", "4000-1", "4000-2"])
     def test_budget_overrun_inside_partition_keeps_finished_nodes(self, tmp_path, budget,
                                                                   workers, nodes):
-        # Partition 000 finishes with 2,693 nodes and 001 with 4,509.  One
+        # Partition 000 finishes with 1,810 nodes and 001 with 2,968.  One
         # worker caps 001 at the budget left, so the run stops at the budget
-        # + 1.  A pool caps it at the whole budget: at 4,508 it overruns at
-        # 4,509 of its own; at 6,000 it finishes, and only the running
+        # + 1.  A pool caps it at the whole budget: at 2,967 it overruns at
+        # 2,968 of its own; at 4,000 it finishes, and only the running
         # total, checked at the partition boundary, passes the budget.
         path = str(tmp_path / "m.json")
         code, out = run("--manifest", path, "--budget", budget, "enumerate", "4", "3", "3",

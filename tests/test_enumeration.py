@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from canonmat import (BudgetExceededError, IntegrityError, Matrix,
                       MinimalityResult, ParseError, burnside_count, census, cli,
-                      enumeration, enumerate_canonical, equivalence,
+                      enumeration, enumerate_canonical, equivalence, is_minimal,
                       is_weighing, orbit_size, pruned_canonical_form)
 from canonmat.enumeration import canonical_first_rows
 from conftest import (SWEEP_SHAPES, all_matrices, brute_orbit_size,
@@ -96,17 +96,17 @@ class TestEnumerate:
         assert exc.value.partial_count >= 0
 
     def test_budget_charges_leaf_tests_per_node(self, monkeypatch):
-        real = enumeration.is_minimal
+        real = enumeration.resume_minimal
         overruns_in_leaf_test = []
 
-        def recording(a, budget=None):
+        def recording(rows, p, path, budget=None):
             try:
-                return real(a, budget=budget)
+                return real(rows, p, path, budget=budget)
             except BudgetExceededError:
                 overruns_in_leaf_test.append(budget)
                 raise
 
-        monkeypatch.setattr(enumeration, "is_minimal", recording)
+        monkeypatch.setattr(enumeration, "resume_minimal", recording)
         counters = {}
         reps = list(enumerate_canonical(3, 3, 2, counters=counters))
         total = counters["nodes"]
@@ -126,15 +126,26 @@ class TestEnumerate:
     def test_depth_guard_in_a_leaf_test_counts_the_partition(self, monkeypatch):
         # An engine that branches past the recursion limit raises with its own
         # nodes, under the budget; the error then carries the partition's total.
-        def too_deep(a, budget=None):
-            raise BudgetExceededError("depth guard", nodes=3)
+        def too_deep(search, *args):
+            search.nodes += 1
+            raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr(enumeration, "first_path", lambda rows, p, path: None)
-        monkeypatch.setattr(enumeration, "is_minimal", too_deep)
+        monkeypatch.setattr(equivalence._RowSearch, "node", too_deep)
         with pytest.raises(BudgetExceededError, match="depth guard") as exc:
             list(enumerate_canonical(3, 3, 2))
-        # The first partition places its first row and two more, then the leaf test.
-        assert (exc.value.nodes, exc.value.partial_count) == (3 + 3, 0)
+        # The first leaf the engine resumes on is 000/001/010, after 13 rows
+        # placed (000; 000 and all 8 rows below it; 001, 001 and 010) and 5
+        # classes (000/000/000, 001, 011 and 111, then 000/001/001).
+        assert (exc.value.nodes, exc.value.partial_count) == (13 + 1, 5)
+
+    def test_one_row_lists_no_later_rows(self, monkeypatch):
+        # At n = 1 every first row is a leaf: no partition builds its rows.
+        def never(*args, **kwargs):
+            raise AssertionError("listed the later rows of a one-row shape")
+
+        monkeypatch.setattr(enumeration.itertools, "product", never)
+        reps = list(enumerate_canonical(1, 24, 2))
+        assert len(reps) == 25 and reps[-1].rows == ((1,) * 24,)
 
     def test_determinism(self):
         a = [r.rows for r in enumerate_canonical(3, 3, 2)]
@@ -162,47 +173,51 @@ class TestNoBudget:
         assert runs[0] == runs[1]
         reps, counters = runs[0]
         assert len(reps) == counters["emitted"] == 5053
-        assert counters["nodes"] == 16932 and counters["orbits"] == 3**12
+        assert counters["nodes"] == 10624 and counters["orbits"] == 3**12
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_partitions(self, workers):
         unlimited = enumeration.run_partitions(4, 4, 3, weight=2, budget=None, workers=workers)
         assert unlimited == enumeration.run_partitions(4, 4, 3, weight=2, workers=workers)
-        assert (unlimited.count, unlimited.nodes) == (3, 7520)
+        assert (unlimited.count, unlimited.nodes) == (3, 7510)
 
     def test_census(self):
         unlimited = census(4, 3, 3, budget=None)
         assert unlimited == census(4, 3, 3)
-        assert (unlimited.count, unlimited.nodes, unlimited.orbits) == (5053, 16932, 3**12)
+        assert (unlimited.count, unlimited.nodes, unlimited.orbits) == (5053, 10624, 3**12)
 
 
 # Rows placed by the enumerator and search nodes of its leaf tests, per shape
 # of the benchmark's census.  The leaf tests used 6,940, 10,574, 63,933 and
 # 95,027 nodes as full canonical-form searches, 4,885, 5,142, 41,107 and
-# 55,409 as early-exit searches on every leaf, and 3,379, 2,154, 25,513 and
-# 25,597 with the semi-canonical screen.  A leaf decided on the first path
-# spends no search node: its rows were charged when they were placed.
-CENSUS_NODES = {(3, 3, 3): (1302, 1030), (4, 4, 2): (870, 1400),
-                (4, 3, 3): (8141, 8791), (3, 4, 3): (10675, 7173)}
+# 55,409 as early-exit searches on every leaf, 3,379, 2,154, 25,513 and
+# 25,597 with the semi-canonical screen, and 1,030, 1,400, 8,791 and 7,173
+# with the first path, where the engine re-walked that path from the root.
+# A leaf decided on the first path spends no search node: its rows were
+# charged when they were placed.  Nor does the resumed engine search that
+# path again.
+CENSUS_NODES = {(3, 3, 3): (1302, 336), (4, 4, 2): (870, 507),
+                (4, 3, 3): (8141, 2483), (3, 4, 3): (10675, 2313)}
 
 # Leaf tests that reach the search engine, of all leaf tests, per shape: the
-# first path decides the rest with no search node.
-CENSUS_LEAF_TESTS = {(3, 3, 3): (200, 1137), (4, 4, 2): (214, 625),
-                     (4, 3, 3): (1693, 6839), (3, 4, 3): (1245, 9973)}
+# first path and the copy counts of its ties decide the rest with no search
+# node.
+CENSUS_LEAF_TESTS = {(3, 3, 3): (178, 1137), (4, 4, 2): (163, 625),
+                     (4, 3, 3): (1416, 6839), (3, 4, 3): (1185, 9973)}
 
 
 # Every leaf test of the census in order, as the first 16 hex digits of
 # sha256(repr([(rows, tuple(result)), ...])): a change to the first path
 # or the engine that keeps the totals above but moves a single verdict,
 # |Aut|, node count or refuted prefix changes it.
-CENSUS_LEAF_DIGESTS = {(3, 3, 3): "31db20320bb96daf", (4, 4, 2): "bd4ddc439446ead5",
-                       (4, 3, 3): "1709441ebec73326", (3, 4, 3): "765a327322b92d49"}
+CENSUS_LEAF_DIGESTS = {(3, 3, 3): "48b56dad9f35b41b", (4, 4, 2): "f0c2d50aa71b90bd",
+                       (4, 3, 3): "622a5ebbd3bd7c5f", (3, 4, 3): "5abd00dbfc2a7c00"}
 
 
 def recorded_leaf_tests(shape, monkeypatch):
     """Run census(*shape), recording (rows, result) of every leaf test: the
-    first path's verdict, or is_minimal's where the first path has none."""
-    real_first, real_minimal = enumeration.first_path, enumeration.is_minimal
+    first path's verdict, or resume_minimal's where the first path has none."""
+    real_first, real_resume = enumeration.first_path, enumeration.resume_minimal
     tests = []
 
     def first(rows, p, path):
@@ -211,13 +226,13 @@ def recorded_leaf_tests(shape, monkeypatch):
             tests.append((tuple(rows), result))
         return result
 
-    def minimal(a, budget=None):
-        result = real_minimal(a, budget=budget)
-        tests.append((a.rows, result))
+    def resume(rows, p, path, budget=None):
+        result = real_resume(rows, p, path, budget=budget)
+        tests.append((tuple(rows), result))
         return result
 
     monkeypatch.setattr(enumeration, "first_path", first)
-    monkeypatch.setattr(enumeration, "is_minimal", minimal)
+    monkeypatch.setattr(enumeration, "resume_minimal", resume)
     return census(*shape), tests
 
 
@@ -297,7 +312,7 @@ class TestCensus:
     @pytest.mark.parametrize("shape", [(3, 3, 2), (3, 3, 3), (4, 4, 2), (4, 3, 2)],
                              ids=lambda s: "x".join(map(str, s)))
     def test_every_backjump_refutes_its_prefix(self, shape, monkeypatch):
-        real_first, real_minimal = enumeration.first_path, enumeration.is_minimal
+        real_first, real_resume = enumeration.first_path, enumeration.resume_minimal
         n, m, p = shape
         refuted = set()
 
@@ -313,15 +328,15 @@ class TestCensus:
                 refuted.add(tuple(rows[:result.prefix]))
             return result
 
-        def minimal(a, budget=None):
-            assert unwound(a.rows)
-            result = real_minimal(a, budget=budget)
+        def resume(rows, p, path, budget=None):
+            assert unwound(tuple(rows))
+            result = real_resume(rows, p, path, budget=budget)
             if not result.minimal:
-                refuted.add(a.rows[:result.prefix])
+                refuted.add(tuple(rows[:result.prefix]))
             return result
 
         monkeypatch.setattr(enumeration, "first_path", first)
-        monkeypatch.setattr(enumeration, "is_minimal", minimal)
+        monkeypatch.setattr(enumeration, "resume_minimal", resume)
         result = census(*shape)  # raises IntegrityError unless both oracles agree
         assert result.count == result.burnside
         assert any(len(rows) < n for rows in refuted)
@@ -332,43 +347,57 @@ class TestCensus:
                              ids=lambda s: "x".join(map(str, s)))
     def test_first_path_agrees_with_the_engine(self, shape, monkeypatch):
         # Every leaf: a "yes" of the first path is is_minimal's, with the
-        # same |Aut|; each prefix it refutes is above its class minimum; and
-        # a leaf it leaves open goes to is_minimal next.  The refuted
-        # prefixes (4,511 at 5x5x2) are checked against the exhaustive
-        # minimum over column orders: naive_minimum's n! * m! is too slow.
-        real_first, real_minimal = enumeration.first_path, enumeration.is_minimal
+        # same |Aut|; a leaf it leaves open goes to resume_minimal next, on
+        # the same path, whose verdict and |Aut| are is_minimal's, at no
+        # more nodes.  Each prefix either refutes is above its class
+        # minimum; the refuted prefixes (5,734 at 5x5x2) are checked against
+        # the exhaustive minimum over column orders: naive_minimum's
+        # n! * m! is too slow.
+        real_first, real_resume = enumeration.first_path, enumeration.resume_minimal
         n, m, p = shape
-        certified, refuted, open_leaves, handed = [], set(), [], []
+        certified, refuted, open_leaves, resumed = [], set(), [], []
 
         def first(rows, p, path):
-            assert len(handed) == len(open_leaves)
+            assert len(resumed) == len(open_leaves)
             result = real_first(rows, p, path)
             if result is None:
-                open_leaves.append(tuple(rows))
+                open_leaves.append((tuple(rows), path))
             elif result.minimal:
                 certified.append((tuple(rows), result.aut_order))
             else:
                 refuted.add(tuple(rows[:result.prefix]))
             return result
 
-        def minimal(a, budget=None):
-            handed.append(a.rows)
-            return real_minimal(a, budget=budget)
+        def resume(rows, p, path, budget=None):
+            # The leaf first_path just left open, with the very same path.
+            assert tuple(rows) == open_leaves[-1][0] and path is open_leaves[-1][1]
+            result = real_resume(rows, p, path, budget=budget)
+            resumed.append((tuple(rows), result))
+            if not result.minimal:
+                refuted.add(tuple(rows[:result.prefix]))
+            return result
 
         monkeypatch.setattr(enumeration, "first_path", first)
-        monkeypatch.setattr(enumeration, "is_minimal", minimal)
+        monkeypatch.setattr(enumeration, "resume_minimal", resume)
         result = census(*shape)  # raises IntegrityError unless both oracles agree
         assert result.count == result.burnside
-        assert handed == open_leaves
+        assert [rows for rows, _ in resumed] == [rows for rows, _ in open_leaves]
         assert certified and refuted and open_leaves
         for rows, aut in certified:
-            test = real_minimal(Matrix(n, m, p, rows))
+            test = is_minimal(Matrix(n, m, p, rows))
             assert (test.minimal, test.aut_order) == (True, aut)
+        verdicts = {True: 0, False: 0}
+        for rows, test in resumed:
+            engine = is_minimal(Matrix(n, m, p, rows))
+            assert (test.minimal, test.aut_order) == (engine.minimal, engine.aut_order)
+            assert test.nodes <= engine.nodes
+            verdicts[test.minimal] += 1
+        assert all(verdicts.values())
         for rows in refuted:
             assert canonical_form(Matrix(len(rows), m, p, rows)).canonical.rows < rows
 
     def test_pinned_nodes_five_by_five(self):
-        assert census(5, 5, 2).nodes == 53192
+        assert census(5, 5, 2).nodes == 28767
 
     def test_orbit_sums_come_from_the_leaf_tests(self):
         counters = {}
@@ -380,8 +409,8 @@ class TestCensus:
         # One class reports |Aut| = 1: the class count still matches
         # Burnside, but the class sizes overshoot 2^9.  The zero matrix
         # (3! * 3!) is decided on the first path, the permutation matrix
-        # 001/010/100 (3!) by is_minimal: corrupt each route in turn.
-        real_symmetries, real_minimal = equivalence.copy_symmetries, enumeration.is_minimal
+        # 001/010/100 (3!) by the resumed engine: corrupt each route in turn.
+        real_symmetries, real_resume = equivalence.copy_symmetries, enumeration.resume_minimal
         lied_about = []
 
         def lying_symmetries(copies, colors):
@@ -390,15 +419,16 @@ class TestCensus:
                 return 1
             return real_symmetries(copies, colors)
 
-        def lying_minimal(a, budget=None):
-            result = real_minimal(a, budget=budget)
-            if a.rows == ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
-                lied_about.append("is_minimal")
+        def lying_resume(rows, p, path, budget=None):
+            result = real_resume(rows, p, path, budget=budget)
+            if tuple(rows) == ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
+                assert result == MinimalityResult(True, 6, result.nodes) and result.nodes
+                lied_about.append("resume_minimal")
                 return MinimalityResult(True, 1, result.nodes)
             return result
 
         for target, name, lie in ((equivalence, "copy_symmetries", lying_symmetries),
-                                  (enumeration, "is_minimal", lying_minimal)):
+                                  (enumeration, "resume_minimal", lying_resume)):
             with monkeypatch.context() as patch:
                 patch.setattr(target, name, lie)
                 with pytest.raises(IntegrityError) as exc:
@@ -412,7 +442,7 @@ class TestCensus:
                     assert out.getvalue() == "count=36 burnside=36 agree=false\n"
                     nodes.append(read_json(path)["nodes"])
                 assert nodes[0] == nodes[1] > 0
-        assert lied_about[0] == "first path" and "is_minimal" in lied_about
+        assert lied_about[0] == "first path" and "resume_minimal" in lied_about
 
     def test_stream_mode(self):
         result = census(2, 2, 2)

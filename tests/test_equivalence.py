@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canonmat import (BudgetExceededError, Matrix, MinimalityResult,
-                      PermPair, Permutation, apply, equivalent, is_minimal,
-                      is_semi_canonical, pruned_canonical_form)
-from canonmat.equivalence import first_path
+                      PermPair, Permutation, apply, equivalence, equivalent,
+                      is_minimal, is_semi_canonical, pruned_canonical_form)
+from canonmat.equivalence import first_path, resume_minimal
 from conftest import (SWEEP_SHAPES, TRIO_C, all_matrices, canonical_form,
                       matrices, naive_minimum)
 
@@ -338,6 +338,81 @@ class TestFirstPath:
                 if step is not None and not step.minimal:
                     break
             assert step == test
+
+
+def leaf_test(rows, p, path):
+    """The enumerator's leaf test on the ascending `rows`: first_path one row
+    at a time from the end of `path`, then resume_minimal if it is open."""
+    for k in range(len(path) + 1, len(rows) + 1):
+        test = first_path(rows[:k], p, path)
+        if test is not None and not test.minimal:
+            return test
+    return test if test is not None else resume_minimal(rows, p, path)
+
+
+class TestResumeMinimal:
+    # Ties the copy counts settle with no search node: row 1 ties row 0
+    # with more copies, so its block at row 0's node falls below; row 2 ties
+    # row 0 with fewer copies, so it is no child there.
+    SETTLED = [
+        ("more-copies", ((0, 0, 1), (0, 1, 0), (0, 1, 0)), MinimalityResult(False, None, 0, 3)),
+        ("fewer-copies", ((0, 0, 1), (0, 0, 1), (0, 1, 0)), MinimalityResult(True, 2, 0)),
+    ]
+
+    @pytest.mark.parametrize("rows,result", [case[1:] for case in SETTLED],
+                             ids=[case[0] for case in SETTLED])
+    def test_copy_counts_settle_a_tie(self, rows, result):
+        path = []
+        assert first_path(rows, 2, path) is None
+        assert resume_minimal(rows, 2, path, budget=0) == result
+        engine = is_minimal(Matrix(3, 3, 2, rows))
+        assert (engine.minimal, engine.aut_order, engine.prefix) == result[:2] + result[3:]
+        assert engine.nodes > 0
+
+    def test_budget_and_depth_guard(self, monkeypatch):
+        # The permutation matrix branches at rows 0 and 1; resumed after the
+        # first leaf, the engine spends 5 of is_minimal's 9 nodes.
+        rows = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+        path = []
+        assert first_path(rows, 2, path) is None
+        assert resume_minimal(rows, 2, path, budget=5) == MinimalityResult(True, 6, 5)
+        assert is_minimal(Matrix(3, 3, 2, tuple(rows))).nodes == 9
+        with pytest.raises(BudgetExceededError) as exc:
+            resume_minimal(rows, 2, path, budget=4)
+        assert exc.value.nodes == 5
+
+        def too_deep(search, *args):
+            search.nodes += 1
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(equivalence._RowSearch, "node", too_deep)
+        with pytest.raises(BudgetExceededError, match="depth guard") as exc:
+            resume_minimal(rows, 2, path)
+        assert exc.value.nodes == 1
+
+    @given(matrices(max_n=6, max_m=5, max_p=3), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_is_minimal(self, a, data):
+        # A row-sorted matrix and then a sibling, built row by row through
+        # one shared path that keeps the entries of the rows they share, as
+        # the enumerator's does.
+        rows = sorted(a.rows)
+        path = []
+        for _ in range(2):
+            b = Matrix(a.n, a.m, a.p, tuple(rows))
+            test, engine = leaf_test(rows, a.p, path), is_minimal(b)
+            assert (test.minimal, test.aut_order) == (engine.minimal, engine.aut_order)
+            assert test.nodes <= engine.nodes
+            if not test.minimal:
+                refuted = Matrix(test.prefix, a.m, a.p, b.rows[:test.prefix])
+                assert canonical_form(refuted).canonical.rows < refuted.rows
+            keep = data.draw(st.integers(0, a.n - 1))
+            tail = [data.draw(st.tuples(*[st.integers(0, a.p - 1)] * a.m))
+                    for _ in range(a.n - keep)]
+            sibling = sorted(rows[:keep] + tail)
+            shared = next((k for k, (x, y) in enumerate(zip(rows, sibling)) if x != y), a.n)
+            del path[min(shared, a.n - 1):]
+            rows = sibling
 
 
 class TestEquivalent:
