@@ -173,9 +173,7 @@ def _enumerate(n, m, p, weight, budget, state, firsts) -> Iterator[Matrix]:
                             test = resume_minimal(prefix, p, path,
                                                   budget=budget - state["nodes"])
                         except BudgetExceededError as exc:
-                            charge(exc.nodes)  # raises if past the budget; else it is the depth guard
-                            exc.nodes, exc.partial_count = state["nodes"], state["emitted"]
-                            raise
+                            charge(exc.nodes)  # it ran past the budget it was given, so this raises
                         charge(test.nodes)
                     if test.minimal:
                         state["emitted"] += 1

@@ -20,7 +20,8 @@ candidate row by row reuses it; it decides every candidate on which the
 search would not branch.  `resume_minimal` decides the rest from that
 path: copy counts settle most key ties, and the engine, started from the
 candidate as its first leaf, runs only the other children of the branching
-nodes on the path.
+nodes on the path.  The search is one loop over an explicit stack of
+branching nodes, so no recursion limit bounds it.
 
 The permutations, witness pairs and both search results are named tuples;
 `Permutation` checks that its images are a tuple of ints that form a
@@ -129,7 +130,7 @@ def pruned_canonical_form(a: Matrix, budget: int | None = None) -> CanonResult:
 
     `apply(a, result.witness) == result.canonical`, the least row code in
     the class of `a`, for any width.  Each search node is charged against `budget`; running out
-    raises BudgetExceededError carrying the node count, as does branching past the recursion limit.
+    raises BudgetExceededError carrying the node count.
     """
     search, _ = _search(a, budget)
     canon, ids, colors = search.best
@@ -283,11 +284,13 @@ def resume_minimal(rows, p: int, path: list, budget: int | None = None) -> Minim
 
     With no branching node the first path is the whole search, and the
     answer is "yes" with |Aut| = copy_symmetries at 0 nodes.  Otherwise
-    the engine starts from `rows` as its first leaf and incumbent, and runs
-    the children after the first of each branching node on the first path,
-    deepest first (_RowSearch.resume).  Nothing on the first path is
-    searched again, so the nodes are is_minimal's less those of its first
-    path.  Budget and depth guard as for is_minimal.
+    the engine starts from `rows` as its first leaf and incumbent, with the
+    branching nodes of the first path on its stack, each with its first
+    child explored, and unwinds from that leaf: it runs the children after
+    the first, deepest node first, as the search from the root does after
+    its first leaf.  Nothing on the first path is searched again, so the
+    nodes are is_minimal's less those of its first path.  Budget as for
+    is_minimal.
     """
     copies = rows.count  # the rows ascend, so the copies of a row are consecutive
     ties = path[-1][2]
@@ -302,12 +305,15 @@ def resume_minimal(rows, p: int, path: list, budget: int | None = None) -> Minim
         return MinimalityResult(True, copy_symmetries(list(map(copies, set(rows))), path[-1][1]), 0)
     distinct = list(dict.fromkeys(rows))
     search = _RowSearch(distinct, list(map(copies, distinct)), p, budget, tuple(rows))
-    nodes = []
-    for k in sorted(children, reverse=True):
+    # The first leaf: the target, placed in row-id order, with its final colors.
+    search.first = search.best = (search.best[0], tuple(range(len(distinct))), path[-1][1])
+    stack = []
+    for k in sorted(children):
         u = distinct.index(rows[k])
-        nodes.append((tuple(range(u)), path[k][0], tuple(range(u, len(distinct))),
-                      rows[:k + copies(rows[k])], [distinct.index(rows[i]) for i in children[k]]))
-    return _verdict(search, search.guarded(search.resume, path[-1][1], nodes), rows)
+        tied = [distinct.index(rows[i]) for i in children[k]]
+        stack.append(_Branch((tuple(range(u)), path[k][0], tuple(range(u, len(distinct))), 0, True),
+                             k + copies(rows[k]), search.best, iter(tied[1:]), tied[:1], True))
+    return _verdict(search, search.run(list(rows), stack, depth=len(distinct)), rows)
 
 
 def _key(colors, row) -> list[int]:
@@ -329,14 +335,29 @@ def copy_symmetries(copies, colors) -> int:
 
 
 def _search(a: Matrix, budget, target=None):
-    """Run the row search on `a`: (search, the depth the root returned, -1 if
-    a prefix fell below `target`).  Row ids number distinct rows as they come."""
+    """Run the row search on `a`: (search, the depth it ended at, -1 if a
+    prefix fell below `target`).  Row ids number distinct rows as they come."""
     mult: dict[tuple[int, ...], int] = {}
     for row in a.rows:
         mult[row] = mult.get(row, 0) + 1
     search = _RowSearch(list(mult), list(mult.values()), a.p, budget, target)
-    return search, search.guarded(search.node, (), (0,) * a.m, tuple(range(len(mult))),
-                                  [], 0, False)
+    return search, search.run([], [], ((), (0,) * a.m, tuple(range(len(mult))), 0, False))
+
+
+class _Branch:
+    """A branching node on the stack of _RowSearch.run: the `node` as run
+    takes it, `length`, the length of `canon` there, `before`, the
+    incumbent when it was pushed, `children`, an iterator over the children
+    not yet tried, those `explored`, and whether it is `on_first_path`.
+    `roots` are the orbit roots of the `seen_gens` generators found first."""
+
+    __slots__ = ("node", "length", "before", "children", "explored", "on_first_path",
+                 "roots", "seen_gens")
+
+    def __init__(self, node, length, before, children, explored, on_first_path):
+        self.node, self.length, self.before = node, length, before
+        self.children, self.explored, self.on_first_path = children, explored, on_first_path
+        self.roots, self.seen_gens = None, -1
 
 
 class _RowSearch:
@@ -356,13 +377,12 @@ class _RowSearch:
     equal to `best` or to the first leaf yields a row automorphism; the
     search then unwinds to the node where the two paths split, whose
     current child that automorphism maps onto an already finished sibling.
-    `node` walks a chain of one-child nodes, and `branch` runs the children
-    of a branching node; `resume` enters the branching nodes of a known
-    first path through `branch`, with their first children done.
+    The search is one loop, `run`, over an explicit stack of branching
+    nodes, so no recursion limit bounds it.
 
     Given `target` rows, the search tests their minimality instead: they are
     the incumbent from the root, and a node whose block falls below them
-    unwinds the whole search (the root returns -1) and leaves in `below` the
+    ends the whole search (`run` returns -1) and leaves in `below` the
     rows that fall rests on.  Every leaf then equals the target, so each
     leaf after the first is an automorphism.  The target is sorted there, so
     row ids ascend with the target's row indices.
@@ -384,123 +404,112 @@ class _RowSearch:
         self.generators: list[tuple[int, ...]] = []
         self.orbit_product = 1
 
-    def node(self, ids, colors, remaining, canon, rel, eq_first) -> int:
-        """Search below one node; returns the depth the search unwinds to.
+    def run(self, canon, stack, node=None, depth=0) -> int:
+        """Search below `node`, or with none, unwind `stack` to `depth`;
+        returns the depth the search unwinds to once the stack is empty, or
+        -1 once a block falls below the target.
 
-        One pass over the unplaced rows finds the least key, the most
-        copies among the rows with that key, and the rows with both: the
-        children.  `rel` compares `canon` with the same rows of `best` (-1,
-        0, +1) and `eq_first` says whether it equals the first leaf's
-        prefix; each is meaningless while there is no `best`, respectively
-        no first leaf.  A chain of nodes with one child each is walked in a
-        loop, so the recursion only grows at branching nodes, which go to
-        `branch`.  `canon` is restored on return."""
+        A node is (ids, colors, remaining, rel, eq_first), and `canon` holds
+        its canonical rows.  `rel` compares `canon` with the same rows of
+        `best` (-1, 0, +1) and `eq_first` says whether it equals the first
+        leaf's prefix; each is meaningless while there is no `best`,
+        respectively no first leaf.  One pass over the unplaced rows finds
+        the least key, the most copies among the rows with that key, and the
+        rows with both: the children.  A node with one child goes on to it.
+        A branching node goes on the stack and runs its first child.
+
+        The one unwind rule: a leaf or a cut gives a depth, and every
+        branching node deeper than it is dropped.  The one it stops at runs
+        its next child that no automorphism found so far, fixing the node's
+        rows, maps onto an explored one.  When none is left, the node is
+        dropped and the search unwinds to its depth.  A node is on the first
+        path when its first child makes the first leaf; it then multiplies
+        the size of that child's orbit into `orbit_product`."""
         p, rows, mult = self.p, self.rows, self.mult
-        start = len(canon)
-        try:
-            while True:
-                self.nodes += 1
-                if self.nodes > self.budget:
-                    raise BudgetExceededError(
-                        f"canonical-form search exceeded its node budget {self.budget}",
-                        nodes=self.nodes)
-                if not remaining:
-                    return self._leaf(ids, canon, colors, rel, eq_first)
-                discrete = len(set(colors)) == len(colors)
-                if discrete:
-                    col_order = sorted(range(len(colors)), key=colors.__getitem__)
-                    block, order = zip(*sorted([(tuple(map(rows[u].__getitem__, col_order)), u)
-                                                for u in remaining]))
-                    block = tuple([key for key, u in zip(block, order) for _ in range(mult[u])])
-                else:
-                    least, most, tied = [math.inf], 0, None  # [inf] is above every key
-                    for u in remaining:
-                        key = _key(colors, rows[u])
-                        if key > least or key == least and mult[u] < most:
+        while True:
+            if node is None:
+                while stack and len(stack[-1].node[0]) > depth:  # node[0] is its ids
+                    stack.pop()
+                if not stack:
+                    return depth
+                top = stack[-1]
+                del canon[top.length:]
+                ids, colors, remaining, rel, eq_first = top.node
+                if self.best is not top.before:  # a leaf below it made a new incumbent
+                    rel, eq_first = 0, eq_first or top.on_first_path
+                for u in top.children:
+                    if top.explored and self.generators:
+                        if top.seen_gens != len(self.generators):
+                            top.seen_gens = len(self.generators)
+                            top.roots = self._orbit_roots(ids)
+                        if top.roots[u] in {top.roots[e] for e in top.explored}:
                             continue
-                        if key == least and mult[u] == most:
-                            tied.append(u)
-                        else:
-                            least, most, tied = key, mult[u], [u]
-                    block = (tuple([v % p for v in least]),) * most
-                if self.best is not None:
-                    k = len(canon)
-                    if rel == 0:
-                        best_block = self.best[0][k:k + len(block)]
-                        if block != best_block:
-                            rel = 1 if block > best_block else -1
-                    # While `best` is the first leaf, rel == 0 says the block
-                    # matches that leaf too.
-                    if eq_first and (rel or self.best is not self.first):
-                        eq_first = block == self.first[0][k:k + len(block)]
-                    if rel > 0 and not eq_first:
-                        return len(ids)
-                    if rel < 0 and self.stop_below:
-                        self.below = self._rows_below(
-                            ids, order if discrete else [min(tied)], block, best_block)
-                        return -1
-                canon += block
-                if discrete:
-                    ids += order
-                    remaining = ()
+                    top.explored.append(u)
+                    node = (*self._child(u, ids, colors, remaining), rel, eq_first)
+                    break
+                else:
+                    stack.pop()
+                    depth = len(ids)
+                    if top.on_first_path:
+                        # Automorphisms preserve keys, so the orbit lies within the children.
+                        # A minimal target's own row order takes the first child at every
+                        # node and is never cut, so its first leaf lies below that child too.
+                        roots = self._orbit_roots(ids)
+                        self.orbit_product *= roots.count(roots[top.explored[0]])
+                continue
+            ids, colors, remaining, rel, eq_first = node
+            node = None
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise BudgetExceededError(
+                    f"canonical-form search exceeded its node budget {self.budget}",
+                    nodes=self.nodes)
+            if not remaining:
+                depth = self._leaf(ids, canon, colors, rel, eq_first)
+                continue
+            discrete = len(set(colors)) == len(colors)
+            if discrete:
+                col_order = sorted(range(len(colors)), key=colors.__getitem__)
+                block, order = zip(*sorted([(tuple(map(rows[u].__getitem__, col_order)), u)
+                                            for u in remaining]))
+                block = tuple([key for key, u in zip(block, order) for _ in range(mult[u])])
+            else:
+                least, most, tied = [math.inf], 0, None  # [inf] is above every key
+                for u in remaining:
+                    key = _key(colors, rows[u])
+                    if key > least or key == least and mult[u] < most:
+                        continue
+                    if key == least and mult[u] == most:
+                        tied.append(u)
+                    else:
+                        least, most, tied = key, mult[u], [u]
+                block = (tuple([v % p for v in least]),) * most
+            if self.best is not None:
+                k = len(canon)
+                if rel == 0:
+                    best_block = self.best[0][k:k + len(block)]
+                    if block != best_block:
+                        rel = 1 if block > best_block else -1
+                # While `best` is the first leaf, rel == 0 says the block
+                # matches that leaf too.
+                if eq_first and (rel or self.best is not self.first):
+                    eq_first = block == self.first[0][k:k + len(block)]
+                if rel > 0 and not eq_first:
+                    depth = len(ids)
                     continue
-                if len(tied) > 1:
-                    return self.branch(ids, colors, remaining, canon, rel, eq_first, tied, [])
-                ids, colors, remaining = self._child(tied[0], ids, colors, remaining)
-        finally:
-            del canon[start:]
-
-    def branch(self, ids, colors, remaining, canon, rel, eq_first, tied, explored) -> int:
-        """Run a branching node's children `tied` after those in `explored`;
-        returns the depth the search unwinds to.
-
-        `node` enters with none explored.  The search resumed after its
-        first leaf enters a node on the first path with its first child
-        explored, and rel == 0, eq_first true, as after that child.  A child
-        in the orbit of an explored one under the automorphisms found so far
-        that fix the node's rows is skipped.  A node is on the first path
-        when its first child makes the first leaf; it then multiplies the
-        size of that child's orbit into `orbit_product`."""
-        depth = len(ids)
-        on_first_path = self.first is None or bool(explored)
-        roots = None
-        seen_gens = -1
-        for u in tied:
-            if explored and self.generators:
-                if seen_gens != len(self.generators):
-                    seen_gens = len(self.generators)
-                    roots = self._orbit_roots(ids)
-                if roots[u] in {roots[e] for e in explored}:
-                    continue
-            explored.append(u)
-            before = self.best
-            target = self.node(*self._child(u, ids, colors, remaining), canon, rel, eq_first)
-            if target < depth:
-                return target
-            if self.best is not before:  # _leaf made a new leaf the incumbent
-                rel, eq_first = 0, eq_first or on_first_path
-        if on_first_path:
-            # Automorphisms preserve keys, so the orbit lies within the children.
-            # A minimal target's own row order takes the first child at every
-            # node and is never cut, so its first leaf lies below that child too.
-            roots = self._orbit_roots(ids)
-            self.orbit_product *= roots.count(roots[explored[0]])
-        return depth
-
-    def resume(self, colors, nodes) -> int:
-        """Minimality mode from the first leaf on: the target, placed in
-        row-id order, with its final column `colors`.  `nodes` are the
-        branching nodes on the path to it, deepest first, as (ids, colors,
-        remaining, canon, children); each runs its children after the first,
-        unless the depth the one below it unwound to is above it, as when
-        the recursion returns through it."""
-        self.first = self.best = (self.best[0], tuple(range(len(self.rows))), colors)
-        depth = len(self.rows)  # the first leaf's
-        for ids, colors, remaining, canon, tied in nodes:
-            if depth >= len(ids):
-                depth = self.branch(ids, colors, remaining, list(canon), 0, True,
-                                    tied[1:], tied[:1])
-        return depth
+                if rel < 0 and self.stop_below:
+                    self.below = self._rows_below(
+                        ids, order if discrete else [min(tied)], block, best_block)
+                    return -1
+            canon += block
+            if discrete:
+                node = (ids + order, colors, (), rel, eq_first)
+            elif len(tied) > 1:
+                stack.append(_Branch((ids, colors, remaining, rel, eq_first), len(canon),
+                                     self.best, iter(tied), [], self.first is None))
+                depth = len(ids)  # unwinding to the new node runs its first child
+            else:
+                node = (*self._child(tied[0], ids, colors, remaining), rel, eq_first)
 
     def _child(self, u, ids, colors, remaining):
         """(ids, colors, remaining) of the child that places row u."""
@@ -521,15 +530,6 @@ class _RowSearch:
             if d < 0:
                 break
         return below
-
-    def guarded(self, step, *args) -> int:
-        """step(*args), with a RecursionError from a search that branched
-        past the recursion limit raised as BudgetExceededError."""
-        try:
-            return step(*args)
-        except RecursionError:
-            raise BudgetExceededError("depth guard: canonical-form search branched deeper "
-                                      "than the recursion limit allows", nodes=self.nodes) from None
 
     def aut_order(self) -> int:
         """|Aut| once the search is done and has a leaf."""

@@ -123,21 +123,6 @@ class TestEnumerate:
             assert got == reps[:len(got)]
         assert overruns_in_leaf_test
 
-    def test_depth_guard_in_a_leaf_test_counts_the_partition(self, monkeypatch):
-        # An engine that branches past the recursion limit raises with its own
-        # nodes, under the budget; the error then carries the partition's total.
-        def too_deep(search, *args):
-            search.nodes += 1
-            raise RecursionError("maximum recursion depth exceeded")
-
-        monkeypatch.setattr(equivalence._RowSearch, "node", too_deep)
-        with pytest.raises(BudgetExceededError, match="depth guard") as exc:
-            list(enumerate_canonical(3, 3, 2))
-        # The first leaf the engine resumes on is 000/001/010, after 13 rows
-        # placed (000; 000 and all 8 rows below it; 001, 001 and 010) and 5
-        # classes (000/000/000, 001, 011 and 111, then 000/001/001).
-        assert (exc.value.nodes, exc.value.partial_count) == (13 + 1, 5)
-
     def test_one_row_lists_no_later_rows(self, monkeypatch):
         # At n = 1 every first row is a leaf: no partition builds its rows.
         def never(*args, **kwargs):

@@ -1,7 +1,11 @@
+import ast
 import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -369,7 +373,7 @@ class TestResumeMinimal:
         assert (engine.minimal, engine.aut_order, engine.prefix) == result[:2] + result[3:]
         assert engine.nodes > 0
 
-    def test_budget_and_depth_guard(self, monkeypatch):
+    def test_budget(self):
         # The permutation matrix branches at rows 0 and 1; resumed after the
         # first leaf, the engine spends 5 of is_minimal's 9 nodes.
         rows = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
@@ -381,14 +385,30 @@ class TestResumeMinimal:
             resume_minimal(rows, 2, path, budget=4)
         assert exc.value.nodes == 5
 
-        def too_deep(search, *args):
-            search.nodes += 1
-            raise RecursionError("maximum recursion depth exceeded")
-
-        monkeypatch.setattr(equivalence._RowSearch, "node", too_deep)
-        with pytest.raises(BudgetExceededError, match="depth guard") as exc:
-            resume_minimal(rows, 2, path)
-        assert exc.value.nodes == 1
+    def test_deeper_than_the_recursion_limit(self):
+        # The order-60 permutation matrix with ascending rows, its own class
+        # minimum, branches at 59 nodes on its first path.  The search is one
+        # loop, so a recursion limit of 100 does not bound it.
+        script = """import sys
+sys.setrecursionlimit(100)
+from canonmat import Matrix, is_minimal, pruned_canonical_form
+from canonmat.equivalence import first_path, resume_minimal
+rows = tuple(tuple(int(i + j == 59) for j in range(60)) for i in range(60))
+a = Matrix(60, 60, 2, rows)
+res = pruned_canonical_form(a)
+print((res.nodes, res.aut_order, res.canonical == a))
+print(tuple(is_minimal(a)))
+path = []
+assert first_path(rows, 2, path) is None
+print(tuple(resume_minimal(rows, 2, path)))
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(equivalence.__file__)))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert (done.returncode, done.stderr) == (0, "")
+        aut = math.factorial(60)
+        assert list(map(ast.literal_eval, done.stdout.splitlines())) == [
+            (1890, aut, True), (True, aut, 1890, None), (True, aut, 1829, None)]
 
     @given(matrices(max_n=6, max_m=5, max_p=3), st.data())
     @settings(max_examples=300, deadline=None)
