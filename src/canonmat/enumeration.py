@@ -92,10 +92,18 @@ def canonical_first_rows(m: int, p: int,
                          weight: int | None = None) -> Iterator[tuple[int, ...]]:
     """First-row candidates, ascending: the nondecreasing rows (zeros, then a
     nondecreasing nonzero tail), only those with `weight` nonzero entries
-    when it is given."""
-    for row in itertools.combinations_with_replacement(range(p), m):
+    when it is given.  Each is stepped from the one before: its last entry
+    below p - 1 goes up by one, and every entry after it takes that value."""
+    row = [0] * m
+    while True:
         if weight is None or m - row.count(0) == weight:
-            yield row
+            yield tuple(row)
+        i = m - 1
+        while i >= 0 and row[i] == p - 1:
+            i -= 1
+        if i < 0:
+            return
+        row[i:] = [row[i] + 1] * (m - i)
 
 
 def check_arguments(n: int, m: int, p: int, weight: int | None = None,
@@ -216,11 +224,13 @@ def run_partitions(n: int, m: int, p: int, weight: int | None = None,
     """
     check_arguments(n, m, p, weight, workers)
     budget = math.inf if budget is None else budget
-    firsts = list(canonical_first_rows(m, p, weight))
+    firsts = canonical_first_rows(m, p, weight)
+    head = list(itertools.islice(firsts, workers))  # no more first rows than the pool needs
     state = {} if counters is None else counters
-    state.update(workers=min(workers, len(firsts)), nodes=0)
+    state.update(workers=len(head), nodes=0)
     text = emit is not None
-    jobs = ((n, m, p, weight, first, budget - state["nodes"], text) for first in firsts)
+    jobs = ((n, m, p, weight, first, budget - state["nodes"], text)
+            for first in itertools.chain(head, firsts))
     reps: list = []
     count = orbits = 0
     pool = None

@@ -6,22 +6,25 @@ whose row code is lexicographically minimal.
 
 One search engine, `_RowSearch`, runs in two modes.  Its minimum mode,
 `pruned_canonical_form`, is behind canonize and `equivalent`; its
-minimality mode, `is_minimal`, is the enumerator's leaf test.  It builds
-the minimum row by row, refining ordered column cells, and prunes with the
-automorphisms it finds (after McKay and Piperno, *Practical graph
-isomorphism II*, J. Symb. Comput. 2014); |Aut| comes as a by-product.  In
-minimality mode the candidate's own rows are the incumbent from the root,
-as in the "is canonical?" tests of Kaski and Östergård, *Classification
-Algorithms for Codes and Designs*, 2006.  A "not minimal" also names the
-shortest leading row block of the candidate it rests on, which the
-enumerator unwinds to.  `first_path` walks the same search's first path
-along a sorted candidate, one row at a time, so that a caller extending the
-candidate row by row reuses it; it decides every candidate on which the
-search would not branch.  `resume_minimal` decides the rest from that
-path: copy counts settle most key ties, and the engine, started from the
-candidate as its first leaf, runs only the other children of the branching
-nodes on the path.  The search is one loop over an explicit stack of
-branching nodes, so no recursion limit bounds it.
+minimality mode is `is_minimal` from the root, and `resume_minimal` from a
+first leaf.  It builds the minimum row by row, refining ordered column
+cells, and prunes with the automorphisms it finds (after McKay and
+Piperno, *Practical graph isomorphism II*, J. Symb. Comput. 2014);
+|Aut| comes as a by-product.  Each node carries its canonical rows and
+compares them with the best and the first leaf afresh.  In minimality mode
+the candidate's own rows are the incumbent from the root, as in the "is
+canonical?" tests of Kaski and Östergård, *Classification Algorithms for
+Codes and Designs*, 2006.  A "not minimal" also names the shortest leading
+row block of the candidate it rests on, which the enumerator unwinds to.
+`first_path` walks the same search's first path along a sorted candidate,
+one row at a time, so that a caller extending the candidate row by row
+reuses it; it decides every candidate on which the search would not
+branch.  `resume_minimal` decides the rest from that path: copy counts
+settle most key ties, and the engine, started from the candidate as its
+first leaf, runs only the other children of the branching nodes on the
+path.  The two are the enumerator's leaf test.  The search is one loop
+over an explicit stack of branching nodes, so no recursion limit bounds
+it.
 
 The permutations, witness pairs and both search results are named tuples;
 `Permutation` checks that its images are a tuple of ints that form a
@@ -31,7 +34,7 @@ bijection.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import compress, count
 from operator import add, ne
 
@@ -303,17 +306,17 @@ def resume_minimal(rows, p: int, path: list, budget: int | None = None) -> Minim
             children.setdefault(k, [k]).append(j)
     if not children:
         return MinimalityResult(True, copy_symmetries(list(map(copies, set(rows))), path[-1][1]), 0)
-    distinct = list(dict.fromkeys(rows))
-    search = _RowSearch(distinct, list(map(copies, distinct)), p, budget, tuple(rows))
+    search = _RowSearch(rows, p, budget, tuple(rows))
+    ids = tuple(range(len(search.rows)))
     # The first leaf: the target, placed in row-id order, with its final colors.
-    search.first = search.best = (search.best[0], tuple(range(len(distinct))), path[-1][1])
+    search.first = search.best = (search.best[0], ids, path[-1][1])
     stack = []
     for k in sorted(children):
-        u = distinct.index(rows[k])
-        tied = [distinct.index(rows[i]) for i in children[k]]
-        stack.append(_Branch((tuple(range(u)), path[k][0], tuple(range(u, len(distinct))), 0, True),
-                             k + copies(rows[k]), search.best, iter(tied[1:]), tied[:1], True))
-    return _verdict(search, search.run(list(rows), stack, depth=len(distinct)), rows)
+        u = search.rows.index(rows[k])
+        tied = [search.rows.index(rows[i]) for i in children[k]]
+        node = (ids[:u], path[k][0], ids[u:], search.best[0][:k + copies(rows[k])])
+        stack.append(_Branch(node, iter(tied[1:]), tied[:1], True))
+    return _verdict(search, search.run(stack, depth=len(ids)), rows)
 
 
 def _key(colors, row) -> list[int]:
@@ -336,43 +339,41 @@ def copy_symmetries(copies, colors) -> int:
 
 def _search(a: Matrix, budget, target=None):
     """Run the row search on `a`: (search, the depth it ended at, -1 if a
-    prefix fell below `target`).  Row ids number distinct rows as they come."""
-    mult: dict[tuple[int, ...], int] = {}
-    for row in a.rows:
-        mult[row] = mult.get(row, 0) + 1
-    search = _RowSearch(list(mult), list(mult.values()), a.p, budget, target)
-    return search, search.run([], [], ((), (0,) * a.m, tuple(range(len(mult))), 0, False))
+    prefix fell below `target`)."""
+    search = _RowSearch(a.rows, a.p, budget, target)
+    return search, search.run([], ((), (0,) * a.m, tuple(range(len(search.rows))), ()))
 
 
 class _Branch:
-    """A branching node on the stack of _RowSearch.run: the `node` as run
-    takes it, `length`, the length of `canon` there, `before`, the
-    incumbent when it was pushed, `children`, an iterator over the children
-    not yet tried, those `explored`, and whether it is `on_first_path`.
-    `roots` are the orbit roots of the `seen_gens` generators found first."""
+    """A branching node on the stack of _RowSearch.run: the `node`, whose
+    canonical rows include its block, the rows its every child places;
+    `children`, an iterator over the children not yet tried, those
+    `explored`, and whether it is `on_first_path`.  `roots` are the orbit
+    roots of the `seen_gens` generators found first."""
 
-    __slots__ = ("node", "length", "before", "children", "explored", "on_first_path",
-                 "roots", "seen_gens")
+    __slots__ = ("node", "children", "explored", "on_first_path", "roots", "seen_gens")
 
-    def __init__(self, node, length, before, children, explored, on_first_path):
-        self.node, self.length, self.before = node, length, before
-        self.children, self.explored, self.on_first_path = children, explored, on_first_path
+    def __init__(self, node, children, explored, on_first_path):
+        self.node, self.children, self.explored = node, children, explored
+        self.on_first_path = on_first_path
         self.roots, self.seen_gens = None, -1
 
 
 class _RowSearch:
     """Depth-first search over the order in which distinct rows are placed.
 
-    A node is the sequence of distinct rows placed so far together with the
-    ordered column cells they induce.  colors[j] is p times column j read
-    down the rows placed so far as a base-p numeral.  Columns of one color
-    form a cell, and cells go in color order, so sorting a row's values
-    colors[j] + row[j] sorts its digits within each cell, cells in order:
-    that is the row's key.  The children of a node are the unplaced rows
-    whose (key, -multiplicity) is least.  All of them append the same
-    canonical rows, so the prefix comparisons against the incumbent (`best`)
-    and the first leaf are made once per node.  At a discrete node, whose
-    colors are distinct, no two keys tie: the unplaced rows follow in
+    The distinct rows are numbered as they first come, their ids; `mult`
+    counts the copies of each.  A node is the sequence of row ids placed so
+    far, their canonical rows, and the ordered column cells they induce.
+    colors[j] is p times column j read down the rows placed so far as a
+    base-p numeral.  Columns of one color form a cell, and cells go in color
+    order, so sorting a row's values colors[j] + row[j] sorts its digits
+    within each cell, cells in order: that is the row's key.  The children
+    of a node are the unplaced rows whose (key, -multiplicity) is least.
+    All of them append the same canonical rows, the node's block, so each
+    node compares its canonical rows, block included, with the incumbent
+    (`best`) and, before a cut, with the first leaf.  At a discrete node,
+    whose colors are distinct, no two keys tie: the unplaced rows follow in
     ascending order, each repeated by its copies, in one step.  A leaf
     equal to `best` or to the first leaf yields a row automorphism; the
     search then unwinds to the node where the two paths split, whose
@@ -391,9 +392,10 @@ class _RowSearch:
     __slots__ = ("rows", "mult", "p", "budget", "nodes", "first", "best",
                  "stop_below", "below", "generators", "orbit_product")
 
-    def __init__(self, rows, mult, p, budget, target=None):
-        self.rows = rows
-        self.mult = mult
+    def __init__(self, rows, p, budget, target=None):
+        copies = Counter(rows)  # in order of first appearance
+        self.rows = list(copies)
+        self.mult = list(copies.values())
         self.p = p
         self.budget = math.inf if budget is None else budget
         self.nodes = 0
@@ -404,19 +406,19 @@ class _RowSearch:
         self.generators: list[tuple[int, ...]] = []
         self.orbit_product = 1
 
-    def run(self, canon, stack, node=None, depth=0) -> int:
+    def run(self, stack, node=None, depth=0) -> int:
         """Search below `node`, or with none, unwind `stack` to `depth`;
         returns the depth the search unwinds to once the stack is empty, or
         -1 once a block falls below the target.
 
-        A node is (ids, colors, remaining, rel, eq_first), and `canon` holds
-        its canonical rows.  `rel` compares `canon` with the same rows of
-        `best` (-1, 0, +1) and `eq_first` says whether it equals the first
-        leaf's prefix; each is meaningless while there is no `best`,
-        respectively no first leaf.  One pass over the unplaced rows finds
-        the least key, the most copies among the rows with that key, and the
-        rows with both: the children.  A node with one child goes on to it.
-        A branching node goes on the stack and runs its first child.
+        A node is (ids, colors, remaining, canon): `canon` is the tuple of
+        canonical rows of `ids`.  One pass over the unplaced rows finds the
+        least key, the most copies among the rows with that key, and the
+        rows with both: the children.  With the block they share appended,
+        `canon` is cut where it is above `best` and differs from the first
+        leaf.  A node with one child goes on to it.  A branching node goes
+        on the stack, with `canon` including its block, and runs its first
+        child.
 
         The one unwind rule: a leaf or a cut gives a depth, and every
         branching node deeper than it is dropped.  The one it stops at runs
@@ -433,10 +435,7 @@ class _RowSearch:
                 if not stack:
                     return depth
                 top = stack[-1]
-                del canon[top.length:]
-                ids, colors, remaining, rel, eq_first = top.node
-                if self.best is not top.before:  # a leaf below it made a new incumbent
-                    rel, eq_first = 0, eq_first or top.on_first_path
+                ids, colors, remaining, canon = top.node
                 for u in top.children:
                     if top.explored and self.generators:
                         if top.seen_gens != len(self.generators):
@@ -445,7 +444,7 @@ class _RowSearch:
                         if top.roots[u] in {top.roots[e] for e in top.explored}:
                             continue
                     top.explored.append(u)
-                    node = (*self._child(u, ids, colors, remaining), rel, eq_first)
+                    node = (*self._child(u, ids, colors, remaining), canon)
                     break
                 else:
                     stack.pop()
@@ -457,7 +456,7 @@ class _RowSearch:
                         roots = self._orbit_roots(ids)
                         self.orbit_product *= roots.count(roots[top.explored[0]])
                 continue
-            ids, colors, remaining, rel, eq_first = node
+            ids, colors, remaining, canon = node
             node = None
             self.nodes += 1
             if self.nodes > self.budget:
@@ -465,7 +464,7 @@ class _RowSearch:
                     f"canonical-form search exceeded its node budget {self.budget}",
                     nodes=self.nodes)
             if not remaining:
-                depth = self._leaf(ids, canon, colors, rel, eq_first)
+                depth = self._leaf(ids, canon, colors)
                 continue
             discrete = len(set(colors)) == len(colors)
             if discrete:
@@ -484,32 +483,24 @@ class _RowSearch:
                     else:
                         least, most, tied = key, mult[u], [u]
                 block = (tuple([v % p for v in least]),) * most
+            canon += block
             if self.best is not None:
-                k = len(canon)
-                if rel == 0:
-                    best_block = self.best[0][k:k + len(block)]
-                    if block != best_block:
-                        rel = 1 if block > best_block else -1
-                # While `best` is the first leaf, rel == 0 says the block
-                # matches that leaf too.
-                if eq_first and (rel or self.best is not self.first):
-                    eq_first = block == self.first[0][k:k + len(block)]
-                if rel > 0 and not eq_first:
+                best = self.best[0][:len(canon)]
+                if canon > best and (self.first is None or canon != self.first[0][:len(canon)]):
                     depth = len(ids)
                     continue
-                if rel < 0 and self.stop_below:
-                    self.below = self._rows_below(
-                        ids, order if discrete else [min(tied)], block, best_block)
+                if canon < best and self.stop_below:  # the rows above the block are the target's
+                    self.below = self._rows_below(ids, order if discrete else [min(tied)],
+                                                  block, best[-len(block):])
                     return -1
-            canon += block
             if discrete:
-                node = (ids + order, colors, (), rel, eq_first)
+                node = (ids + order, colors, (), canon)
             elif len(tied) > 1:
-                stack.append(_Branch((ids, colors, remaining, rel, eq_first), len(canon),
-                                     self.best, iter(tied), [], self.first is None))
+                stack.append(_Branch((ids, colors, remaining, canon), iter(tied), [],
+                                     self.first is None))
                 depth = len(ids)  # unwinding to the new node runs its first child
             else:
-                node = (*self._child(tied[0], ids, colors, remaining), rel, eq_first)
+                node = (*self._child(tied[0], ids, colors, remaining), canon)
 
     def _child(self, u, ids, colors, remaining):
         """(ids, colors, remaining) of the child that places row u."""
@@ -535,16 +526,15 @@ class _RowSearch:
         """|Aut| once the search is done and has a leaf."""
         return self.orbit_product * copy_symmetries(self.mult, self.best[2])
 
-    def _leaf(self, ids, canon, colors, rel, eq_first) -> int:
-        leaf = (tuple(canon), ids, colors)
+    def _leaf(self, ids, canon, colors) -> int:
+        leaf = (canon, ids, colors)
         if self.first is None:
             self.first = self.best = leaf
             return len(ids)
-        if rel < 0:
+        if canon < self.best[0]:
             self.best = leaf
             return len(ids)
-        match = self.best if rel == 0 else self.first
-        assert rel == 0 or eq_first
+        match = self.best if canon == self.best[0] else self.first  # above best: not cut, so first
         gen = [0] * len(self.rows)
         for u, v in zip(ids, match[1]):
             gen[u] = v

@@ -483,15 +483,18 @@ def test_canonize_deeper_than_the_recursion_limit(tmp_path):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps memory on Linux")
 def test_budget_zero_stops_before_building_rows():
-    # 2^26 rows of 26 entries do not fit in 600 MiB; the first charge comes first.
+    # Neither 2^26 later rows of 26 entries nor the 10^11 first rows of one
+    # entry or 2 * 10^8 of two fit in 600 MiB; the first charge comes first.
     import resource
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
 
-    done = run_cli(["--budget", "0", "enumerate", "1", "26", "2"], preexec_fn=cap)
-    assert done.returncode == 4 and done.stdout == ""
-    assert done.stderr == "error: node budget 0 exceeded\n"
+    for args in ("enumerate 1 26 2", "count 1 1 100000000000", "count 1 2 20000",
+                 "enumerate 1 2 20000"):
+        done = run_cli(["--budget", "0", *args.split()], preexec_fn=cap)
+        assert (done.returncode, done.stdout) == (4, ""), args
+        assert done.stderr == "error: node budget 0 exceeded\n"
 
 
 def loaded_after_count(module, *options):

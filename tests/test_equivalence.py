@@ -181,6 +181,29 @@ class TestPrunedCanonicalForm:
         assert res.canonical == canonical_form(a).canonical
         assert apply(a, res.witness) == res.canonical
 
+    def test_new_incumbent_below_a_branching_node(self):
+        # A leaf below the first path's branching nodes becomes the incumbent;
+        # the later children of those nodes compare with it, not the first leaf.
+        a = Matrix.from_rows([(1, 1, 0, 0, 0, 1), (1, 0, 1, 1, 0, 0),
+                              (0, 0, 1, 1, 0, 1), (1, 0, 0, 1, 1, 0)], 2)
+        res = pruned_canonical_form(a)
+        assert res.canonical.rows == ((0, 0, 0, 1, 1, 1), (0, 0, 1, 0, 1, 1),
+                                      (0, 1, 0, 1, 0, 1), (1, 0, 1, 1, 0, 0))
+        assert (res.nodes, res.aut_order) == (18, 1)
+        assert res.canonical == canonical_form(a).canonical
+
+    def test_agrees_with_exhaustive_on_constant_row_weight(self):
+        # Equal row weights leave the first cells coarse, so the search
+        # branches often and finds several incumbents.
+        rng = random.Random(0)
+        for _ in range(1500):
+            m = rng.randint(4, 6)
+            weight = rng.randint(1, m - 1)
+            a = Matrix.from_rows([[int(j in ones) for j in range(m)]
+                                  for ones in (set(rng.sample(range(m), weight))
+                                               for _ in range(rng.randint(4, 8)))], 2)
+            assert pruned_canonical_form(a).canonical == canonical_form(a).canonical, a.rows
+
     @pytest.mark.parametrize("name,a,order", PINNED_AUT, ids=[c[0] for c in PINNED_AUT])
     def test_pinned_automorphism_group_order(self, name, a, order):
         results = []
